@@ -6,12 +6,17 @@ read each curve as a rational twist coordinate, and compare the floors of
 the coordinates measured in full-twist units.  On the torus this
 reproduces the twist-distance identity d(y, T^n y) = |n| + 2 exactly; on
 the four-holed sphere the half-twist count is recovered within +-1.
+
+Only the floor of a coordinate enters a distance, so the projection of a
+curve to an annulus is one integer, its twist floor, computed without
+building the rational coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import EmptyProjection
 from .farey import MobiusMap, Slope, SurfaceKind, apply, normalizer_to_infinity
@@ -53,6 +58,25 @@ def twist_coord(Z: Annulus, y: Slope) -> TwistCoord:
     return Fraction(t.p, t.q)
 
 
+def _floor(g: MobiusMap, shift: int, y: Slope) -> int:
+    """twist_coord(Z, y) // shift in integers, for g the normalizer of Z.
+
+    Floor division needs no reduction and no sign normalization of the
+    image fraction: floor(a / b) = floor(-a / -b).
+    """
+    return (g.a * y.p + g.b * y.q) // ((g.c * y.p + g.d * y.q) * shift)
+
+
+def twist_floors(kind: SurfaceKind, Z: Annulus, curves: Iterable[Slope]) -> dict[Slope, int]:
+    """Twist floor, in full-twist units, of every curve projecting to Z.
+
+    The core has empty projection and is left out.  For distinct curves
+    y and z the annular distance is |floor(y) - floor(z)| + 2.
+    """
+    g, shift = Z.normalizer, kind.twist_shift
+    return {y: _floor(g, shift, y) for y in curves if y != Z.core}
+
+
 def annular_distance(kind: SurfaceKind, Z: Annulus, y: Slope, z: Slope) -> int:
     """Model distance between the projections of y and z to Z.
 
@@ -60,9 +84,10 @@ def annular_distance(kind: SurfaceKind, Z: Annulus, y: Slope, z: Slope) -> int:
     distance is the gap between floor-of-twist values plus 2, with the
     floor taken in full-twist units (1 on the torus, 2 on the sphere).
     """
-    ty = twist_coord(Z, y)
-    tz = twist_coord(Z, z)
+    for curve in (y, z):
+        if not projects(Z, curve):
+            raise EmptyProjection(f"{curve} is the core of the annulus")
     if y == z:
         return 1
-    s = kind.twist_shift
-    return abs((ty // s) - (tz // s)) + 2
+    g, shift = Z.normalizer, kind.twist_shift
+    return abs(_floor(g, shift, y) - _floor(g, shift, z)) + 2

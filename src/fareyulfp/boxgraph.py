@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .farey import INFINITY, Slope
 
 
@@ -31,7 +29,7 @@ class BoxGraph:
         self.vertices = vertices
         self.index = {v: i for i, v in enumerate(vertices)}
         self._adjacency = [self._solve_neighbors(v) for v in vertices]
-        self._dist_cache: dict[int, np.ndarray] = {}
+        self._dist_cache: dict[int, list[int]] = {}
 
     def _solve_neighbors(self, v: Slope) -> list[int]:
         """All box slopes w with |det(v, w)| = 1, by the Bezout line."""
@@ -61,13 +59,13 @@ class BoxGraph:
     def neighbors(self, v: Slope) -> list[Slope]:
         return [self.vertices[i] for i in self._adjacency[self.index[v]]]
 
-    def distance_map(self, source: Slope) -> np.ndarray:
+    def distance_map(self, source: Slope) -> list[int]:
         """BFS distances from source to every box vertex (-1 if unreached)."""
         src = self.index[source]
         cached = self._dist_cache.get(src)
         if cached is not None:
             return cached
-        dist = np.full(len(self.vertices), -1, dtype=np.int32)
+        dist = [-1] * len(self.vertices)
         dist[src] = 0
         frontier = [src]
         adjacency = self._adjacency
@@ -85,7 +83,7 @@ class BoxGraph:
         return dist
 
     def distance(self, x: Slope, y: Slope) -> int:
-        d = int(self.distance_map(y)[self.index[x]])
+        d = self.distance_map(y)[self.index[x]]
         if d < 0:
             raise RuntimeError(f"box graph does not connect {x} to {y}")
         return d

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every subcommand prints a single RunReport JSON document on stdout.
-Exit status: 0 on success, 2 on argument errors, 3 when a precondition
-or theorem hypothesis is violated (the message names it).
+Exit status: 0 on success, 2 on argument errors (malformed slopes,
+geodesics or surfaces, unreadable input files), 3 when a precondition or
+theorem hypothesis is violated (the message names it).
 """
 
 from __future__ import annotations
@@ -60,6 +61,28 @@ def _env_int(name: str, fallback: int) -> int:
     return int(raw) if raw is not None else fallback
 
 
+def _argument_type(name: str, parse):
+    """An argparse ``type=`` that reports a ValueError as an argument error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid {name} {text!r}: {exc}") from None
+
+    return convert
+
+
+def _parse_surface(text: str) -> bounds_mod.Surface:
+    g, n = (int(tok) for tok in text.split(","))
+    return bounds_mod.Surface(g, n)
+
+
+_slope = _argument_type("slope", Slope.parse)
+_geodesic = _argument_type("geodesic", Geodesic.parse)
+_surface = _argument_type("surface", _parse_surface)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ulfp", description="Curve-graph local-finiteness toolkit"
@@ -72,23 +95,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dist", help="curve-graph distance between two slopes")
-    p.add_argument("x")
-    p.add_argument("y")
+    p.add_argument("x", type=_slope)
+    p.add_argument("y", type=_slope)
 
     p = sub.add_parser("geod", help="enumerate geodesics between two slopes")
-    p.add_argument("x")
-    p.add_argument("y")
+    p.add_argument("x", type=_slope)
+    p.add_argument("y", type=_slope)
 
     p = sub.add_parser("twist", help="apply a (half) twist power")
-    p.add_argument("x")
+    p.add_argument("x", type=_slope)
     p.add_argument("n", type=int)
-    p.add_argument("y")
+    p.add_argument("y", type=_slope)
     p.add_argument("--half", action="store_true")
 
     p = sub.add_parser("project", help="annular twist coordinates and distance")
-    p.add_argument("--core", required=True)
-    p.add_argument("y")
-    p.add_argument("z")
+    p.add_argument("--core", required=True, type=_slope)
+    p.add_argument("y", type=_slope)
+    p.add_argument("z", type=_slope)
 
     p = sub.add_parser("ulfp", help="separated-set witness or cover certificate")
     p.add_argument("--set", dest="set_file", required=True)
@@ -99,19 +122,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
 
     p = sub.add_parser("slice", help="verify a slice against its bound")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
+    p.add_argument("a", type=_slope)
+    p.add_argument("b", type=_slope)
+    p.add_argument("c", type=_slope)
     p.add_argument("--delta", type=int, required=True, dest="slice_delta")
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--budget", type=int, default=32)
     p.add_argument("--weak-D", type=int, default=None)
 
     p = sub.add_parser("weak-index", help="weak-tight index of a geodesic")
-    p.add_argument("--geodesic", required=True, help="comma-separated slopes")
+    p.add_argument("--geodesic", required=True, type=_geodesic, help="comma-separated slopes")
 
     p = sub.add_parser("bounds", help="evaluate the recursive bound")
-    p.add_argument("--surface", required=True, help="g,n")
+    p.add_argument("--surface", required=True, type=_surface, help="g,n")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--slice", action="store_true", dest="slice_mode")
@@ -123,6 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
@@ -139,20 +165,20 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
     kind = config.kind
     cmd = args.command
     if cmd == "dist":
-        return {"distance": distance(Slope.parse(args.x), Slope.parse(args.y))}
+        return {"distance": distance(args.x, args.y)}
     if cmd == "geod":
-        found = sorted(geodesics(Slope.parse(args.x), Slope.parse(args.y)))
+        found = sorted(geodesics(args.x, args.y))
         return {"count": len(found), "geodesics": [str(g) for g in found]}
     if cmd == "twist":
-        x, y = Slope.parse(args.x), Slope.parse(args.y)
+        x, y = args.x, args.y
         if args.half:
             result = half_twist(x, args.n, y)
         else:
             result = dehn_twist(kind, x, args.n, y)
         return {"result": str(result)}
     if cmd == "project":
-        Z = Annulus(Slope.parse(args.core))
-        y, z = Slope.parse(args.y), Slope.parse(args.z)
+        Z = Annulus(args.core)
+        y, z = args.y, args.z
         return {
             "core": str(Z.core),
             "twist": {str(y): str(twist_coord(Z, y)), str(z): str(twist_coord(Z, z))},
@@ -173,13 +199,7 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
                     pairs.append((Slope.parse(left), Slope.parse(right)))
         return projections.bgit_audit(kind, pairs).to_json()
     if cmd == "slice":
-        query = slices.SliceQuery(
-            Slope.parse(args.a),
-            Slope.parse(args.b),
-            Slope.parse(args.c),
-            args.slice_delta,
-            args.r,
-        )
+        query = slices.SliceQuery(args.a, args.b, args.c, args.slice_delta, args.r)
         verification = slices.verify_slice_bounds(
             kind,
             query,
@@ -191,7 +211,7 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
         )
         return verification.to_json()
     if cmd == "weak-index":
-        g = Geodesic.parse(args.geodesic)
+        g = args.geodesic
         report = slices.weak_tight_index(kind, g)
         record = {"geodesic": str(g), "index": report.index}
         if report.attaining is not None:
@@ -199,8 +219,7 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
             record["attaining"] = {"vertex": str(vertex), "core": str(annulus.core)}
         return record
     if cmd == "bounds":
-        g, n = (int(tok) for tok in args.surface.split(","))
-        surface = bounds_mod.Surface(g, n)
+        surface = args.surface
         if args.slice_mode:
             pair = bounds_mod.slice_bound_tight(
                 surface, config.M, digit_cap=config.exact_digit_cap
@@ -247,8 +266,7 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.monotonic()
     try:
         config = _config_from_args(args)
@@ -257,6 +275,9 @@ def run(argv: list[str]) -> int:
     except PreconditionViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an input file that cannot be read is a bad argument
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = {
         "command": args.command,
         "argv": list(argv),

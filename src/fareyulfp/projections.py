@@ -7,18 +7,22 @@ enumerated geodesics between members of A: a large annular gap forces the
 core onto every geodesic between the offending pair, so no witness can
 hide elsewhere.  That restriction is an oracle-tested hypothesis, not a
 theorem.
+
+On an annulus every projection is one integer, the twist floor, and two
+distinct curves are more than l apart exactly when their floors differ by
+at least l - 1.  P on an annulus is therefore decided by a sorted greedy
+pass over the floors; the clique search only runs to name the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .annular import Annulus, annular_distance, projects
+from .annular import Annulus, annular_distance, projects, twist_floors
 from .errors import PreconditionViolation
 from .farey import Geodesic, Slope, SurfaceKind, distance, geodesics
-from .graphcore import BallCoverCertificate  # noqa: F401  (re-export for covers)
 
 MAX_CLIQUE_K = 8
 
@@ -86,8 +90,30 @@ class PropertyPReport:
             raise ValueError("witness present iff the property fails")
 
 
+FarRelation = Callable[[Slope, Slope], bool]
+
+
+def _annular_far(floors: dict[Slope, int], l: int) -> FarRelation:
+    """d_Z(y, z) > l for distinct curves projecting to Z, from their floors."""
+    return lambda y, z: abs(floors[y] - floors[z]) + 2 > l
+
+
+def _largest_far_count(floors: Iterable[int], l: int) -> int:
+    """Size of a largest set of distinct curves pairwise more than l apart.
+
+    Distinct curves are more than l apart when their twist floors differ
+    by more than l - 2.  Left to right over the sorted floors, keep each
+    floor far from the last kept one; on a line this greedy is optimal.
+    """
+    count, last = 0, None
+    for f in sorted(floors):
+        if last is None or f - last + 2 > l:
+            count, last = count + 1, f
+    return count
+
+
 def _find_clique(
-    members: Sequence[Slope], far: dict[Slope, set[Slope]], k: int
+    members: Sequence[Slope], far: FarRelation, k: int
 ) -> Optional[frozenset[Slope]]:
     """Exact k-clique search on the far-pair graph (small k, small sets)."""
 
@@ -98,7 +124,7 @@ def _find_clique(
             return None
         for i, v in enumerate(candidates):
             clique.append(v)
-            narrowed = [w for w in candidates[i + 1 :] if w in far[v]]
+            narrowed = [w for w in candidates[i + 1 :] if far(v, w)]
             found = extend(clique, narrowed)
             if found is not None:
                 return found
@@ -115,21 +141,31 @@ def check_P(
     k: int,
     Z: SubsurfaceRef,
 ) -> PropertyPReport:
-    """Decide P(l, k, Z) by clique search on the threshold graph.
+    """Decide P(l, k, Z) exactly, with k <= 8.
 
-    Curves with empty projection to Z are skipped.  Exact search only,
-    bounded at k <= 8.
+    Curves with empty projection to Z are skipped.  On the whole surface
+    the decision is a clique search on the threshold graph.  On an
+    annulus a greedy pass over the twist floors decides it, and the same
+    clique search runs only when P fails, to name the witness.
     """
     if l <= 0:
         raise PreconditionViolation("l must be positive")
     if not 1 < k <= MAX_CLIQUE_K:
         raise PreconditionViolation(f"k must lie in (1, {MAX_CLIQUE_K}]")
-    members = sorted({a for a in set(A) if projects_to(Z, a)})
-    far: dict[Slope, set[Slope]] = {a: set() for a in members}
-    for x, y in combinations(members, 2):
-        if proj_distance(kind, Z, x, y) > l:
-            far[x].add(y)
-            far[y].add(x)
+    if Z.is_whole:
+        members = sorted(set(A))
+        graph: dict[Slope, set[Slope]] = {a: set() for a in members}
+        for x, y in combinations(members, 2):
+            if proj_distance(kind, Z, x, y) > l:
+                graph[x].add(y)
+                graph[y].add(x)
+        far: FarRelation = lambda y, z: z in graph[y]
+    else:
+        floors = twist_floors(kind, Z.annulus, set(A))
+        if _largest_far_count(floors.values(), l) < k:
+            return PropertyPReport(True, None, 1)
+        members = sorted(floors)
+        far = _annular_far(floors, l)
     clique = _find_clique(members, far, k)
     if clique is None:
         return PropertyPReport(True, None, 1)
@@ -199,11 +235,16 @@ def _greedy_centers(
     kind: SurfaceKind, members: Sequence[Slope], l: int, Z: SubsurfaceRef
 ) -> tuple[Slope, ...]:
     """Maximal pairwise->l subset of the projecting members, ascending order."""
+    if Z.is_whole:
+        projecting = list(members)
+        far: FarRelation = lambda v, c: distance(v, c) > l
+    else:
+        floors = twist_floors(kind, Z.annulus, members)
+        projecting = [v for v in members if v in floors]
+        far = _annular_far(floors, l)
     centers: list[Slope] = []
-    for v in members:
-        if not projects_to(Z, v):
-            continue
-        if all(proj_distance(kind, Z, v, c) > l for c in centers):
+    for v in projecting:
+        if all(far(v, c) for c in centers):
             centers.append(v)
     return tuple(centers)
 
@@ -212,18 +253,25 @@ def ulfp_witness(
     kind: SurfaceKind, A: Iterable[Slope], l: int, k: int
 ) -> UlfpCertificate:
     """Constructive dichotomy: a far k-set, or greedy covers in every
-    checked subsurface (at most k-1 centers each, by maximality)."""
+    checked subsurface (at most k-1 centers each, by maximality).
+
+    The candidate subsurfaces are computed once and serve both the P
+    checks and the covers.
+    """
     members = sorted(set(A))
-    report = check_P_all(kind, members, l, k)
-    if not report.holds:
-        return UlfpCertificate(witness=report.witness)
     if len(members) < 2:
-        covers = (CoverEntry(WHOLE, tuple(members), l),)
-        return UlfpCertificate(covers=covers)
-    entries = []
-    for Z in candidate_subsurfaces(kind, members):
-        entries.append(CoverEntry(Z, _greedy_centers(kind, members, l, Z), l))
-    return UlfpCertificate(covers=tuple(entries))
+        return UlfpCertificate(covers=(CoverEntry(WHOLE, tuple(members), l),))
+    subsurfaces = candidate_subsurfaces(kind, members)
+    if len(members) >= k:
+        for Z in subsurfaces:
+            report = check_P(kind, members, l, k, Z)
+            if not report.holds:
+                return UlfpCertificate(witness=report.witness)
+    return UlfpCertificate(
+        covers=tuple(
+            CoverEntry(Z, _greedy_centers(kind, members, l, Z), l) for Z in subsurfaces
+        )
+    )
 
 
 def lemma_co_construct(
@@ -288,19 +336,43 @@ def bgit_audit(
             skipped += 1
             continue
         audited += 1
-        annuli = [Z for Z in candidate_subsurfaces(kind, (x, y)) if not Z.is_whole]
-        for g in geodesics(x, y):
-            for v in g.vertices[1:-1]:
-                for Z in annuli:
-                    if not projects_to(Z, v):
-                        continue
-                    sides = [
-                        proj_distance(kind, Z, end, v)
-                        for end in (x, y)
-                        if projects_to(Z, end)
-                    ]
-                    value = min(sides)
-                    if value > best:
-                        best = value
-                        attaining = (x, y, v, Z.annulus.core)
+        annuli = [Z.annulus for Z in candidate_subsurfaces(kind, (x, y)) if not Z.is_whole]
+        interior = dict.fromkeys(v for g in geodesics(x, y) for v in g.vertices[1:-1])
+        value, at = min_side_gap(kind, x, y, interior, annuli)
+        if value > best:
+            best = value
+            attaining = (x, y, at[0], at[1].core)
     return BgitAudit(best, attaining, audited, skipped)
+
+
+def min_side_gap(
+    kind: SurfaceKind,
+    x: Slope,
+    y: Slope,
+    vertices: Iterable[Slope],
+    annuli: Sequence[Annulus],
+) -> tuple[int, Optional[tuple[Slope, Annulus]]]:
+    """Largest min(d_Z(x, v), d_Z(v, y)) over the vertices v and annuli Z.
+
+    A vertex equal to the core of Z is skipped, and an endpoint equal to
+    the core drops out of the minimum.  The scan runs over vertices, then
+    annuli, and reports the first (v, Z) reaching the maximum; the value
+    is 0 with no attaining pair when nothing exceeds 0.
+    """
+    vertices = list(vertices)
+    sides = []
+    for Z in annuli:
+        floors = twist_floors(kind, Z, [x, y, *vertices])
+        sides.append((Z, floors, [end for end in (x, y) if end in floors]))
+    best = 0
+    attaining: Optional[tuple[Slope, Annulus]] = None
+    for v in vertices:
+        for Z, floors, ends in sides:
+            if v not in floors:
+                continue
+            f = floors[v]
+            value = min(1 if end == v else abs(floors[end] - f) + 2 for end in ends)
+            if value > best:
+                best = value
+                attaining = (v, Z)
+    return best, attaining

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .annular import Annulus
@@ -27,7 +26,7 @@ from .farey import (
     geodesics,
     random_neighbor,
 )
-from .projections import candidate_subsurfaces, proj_distance, projects_to
+from .projections import candidate_subsurfaces, min_side_gap
 
 DEFAULT_DELTA_HYP = 17  # user-chosen hyperbolicity placeholder, see cli.Config
 
@@ -74,25 +73,11 @@ def weak_tight_index(kind: SurfaceKind, g: Geodesic) -> WeakTightReport:
     if g.length <= 2:
         raise PreconditionViolation("weak-tight index needs endpoint distance > 2")
     annuli = [
-        Z
+        Z.annulus
         for Z in candidate_subsurfaces(kind, set(g.vertices))
         if not Z.is_whole
     ]
-    best = 0
-    attaining: Optional[tuple[Slope, Annulus]] = None
-    for v in g.vertices:
-        for Z in annuli:
-            if not projects_to(Z, v):
-                continue
-            sides = [
-                proj_distance(kind, Z, end, v)
-                for end in (x, y)
-                if projects_to(Z, end)
-            ]
-            value = min(sides)
-            if value > best:
-                best = value
-                attaining = (v, Z.annulus)
+    best, attaining = min_side_gap(kind, x, y, g.vertices, annuli)
     return WeakTightReport(g, best, attaining)
 
 

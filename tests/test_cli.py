@@ -139,6 +139,35 @@ class TestExitCodes:
         code = run(["--M", "0", "dist", "1/0", "0/1"])
         assert code == 3
 
+    @staticmethod
+    def bad_argument(capsys, argv: list[str]) -> str:
+        """Run argv, require exit 2 without a traceback; return the error line."""
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "Traceback" not in captured.err
+        return captured.err.strip().splitlines()[-1]
+
+    def test_malformed_slope_exits_two(self, capsys):
+        line = self.bad_argument(capsys, ["dist", "1/2/3", "0/1"])
+        assert "error:" in line and "1/2/3" in line
+
+    def test_zero_over_zero_exits_two(self, capsys):
+        line = self.bad_argument(capsys, ["dist", "0/0", "1/1"])
+        assert "error:" in line and "0/0" in line
+
+    def test_missing_set_file_exits_two(self, capsys, tmp_path):
+        missing = str(tmp_path / "nonexistent")
+        line = self.bad_argument(capsys, ["ulfp", "--set", missing, "--l", "2", "--k", "2"])
+        assert line.startswith("error:") and missing in line
+
+    def test_surface_below_complexity_one_exits_two(self, capsys):
+        line = self.bad_argument(capsys, ["bounds", "--surface", "0,2", "--l", "1", "--k", "2"])
+        assert "error:" in line and "0,2" in line
+
 
 class TestEnvironment:
     def test_env_overrides(self, capsys, monkeypatch):

@@ -1,0 +1,202 @@
+"""Twist floors against pairwise references built from annular_distance.
+
+The annular side of ``projections`` and ``slices`` reads one integer per
+curve and subsurface.  Every function that does so is compared here with
+a direct pairwise computation over ``annular_distance`` and ``distance``
+on seeded sets of both surface kinds, including l in {1, 2} (every pair
+of distinct curves is far), k up to 8, and members equal to the core.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations
+
+import pytest
+
+from corpus import far_pair_corpus, random_slope
+from fareyulfp.annular import Annulus, annular_distance, twist_coord, twist_floors
+from fareyulfp.farey import INFINITY, Slope, SurfaceKind, dehn_twist, distance, geodesics
+from fareyulfp.projections import (
+    WHOLE,
+    SubsurfaceRef,
+    _largest_far_count,
+    bgit_audit,
+    check_P,
+    check_P_all,
+    ulfp_witness,
+)
+from fareyulfp.slices import weak_tight_index
+
+KINDS = list(SurfaceKind)
+
+
+def ref_distance(kind, Z: SubsurfaceRef, y: Slope, z: Slope) -> int:
+    return distance(y, z) if Z.is_whole else annular_distance(kind, Z.annulus, y, z)
+
+
+def ref_projecting(Z: SubsurfaceRef, A) -> list[Slope]:
+    return sorted(a for a in set(A) if Z.is_whole or a != Z.annulus.core)
+
+
+def ref_check_P(kind, A, l: int, k: int, Z: SubsurfaceRef):
+    """The lexicographically first pairwise-far k-set, or None."""
+    members = ref_projecting(Z, A)
+    far = {(y, z) for y, z in combinations(members, 2) if ref_distance(kind, Z, y, z) > l}
+    for chosen in combinations(members, k):
+        if all(pair in far for pair in combinations(chosen, 2)):
+            return frozenset(chosen)
+    return None
+
+
+def ref_cores(pairs) -> list[Slope]:
+    cores = {v for x, y in pairs for g in geodesics(x, y) for v in g.vertices}
+    return sorted(cores, key=lambda s: (s.q, s.p))
+
+
+def ref_subsurfaces(A) -> list[SubsurfaceRef]:
+    members = sorted(set(A))
+    return [WHOLE] + [SubsurfaceRef(Annulus(c)) for c in ref_cores(combinations(members, 2))]
+
+
+def ref_ulfp_witness(kind, A, l: int, k: int) -> dict:
+    members = sorted(set(A))
+    subsurfaces = ref_subsurfaces(members)
+    if len(members) >= k:
+        for Z in subsurfaces:
+            witness = ref_check_P(kind, members, l, k, Z)
+            if witness is not None:
+                return {"type": "witness", "subsurface": str(Z),
+                        "slopes": sorted(str(c) for c in witness)}
+    covers = []
+    for Z in subsurfaces:
+        centers: list[Slope] = []
+        for v in ref_projecting(Z, members):
+            if all(ref_distance(kind, Z, v, c) > l for c in centers):
+                centers.append(v)
+        covers.append({"subsurface": str(Z), "centers": [str(c) for c in centers], "radius": l})
+    return {"type": "covered", "covers": covers}
+
+
+def ref_min_side(kind, x, y, vertices, cores):
+    """First (v, core) in vertex-then-core order reaching the largest min-side gap."""
+    best, attaining = 0, None
+    for v in vertices:
+        for core in cores:
+            if v == core:
+                continue
+            Z = Annulus(core)
+            value = min(annular_distance(kind, Z, end, v) for end in (x, y) if end != core)
+            if value > best:
+                best, attaining = value, (v, core)
+    return best, attaining
+
+
+def twisted_family(rng: random.Random, kind, core: Slope, size: int) -> set[Slope]:
+    """Twists of a few base curves about one core, plus the core itself."""
+    bases = [random_slope(rng, 6) for _ in range(3)]
+    A = {core}
+    for _ in range(size):
+        base = rng.choice(bases)
+        if base != core:
+            A.add(dehn_twist(kind, core, rng.randint(-6, 6), base))
+    return A
+
+
+def test_floors_are_floors_of_twist_coordinates():
+    rng = random.Random(101)
+    for kind in KINDS:
+        for _ in range(200):
+            Z = Annulus(random_slope(rng, 30))
+            curves = [random_slope(rng, 30) for _ in range(5)] + [Z.core]
+            floors = twist_floors(kind, Z, curves)
+            assert set(floors) == set(curves) - {Z.core}
+            for y, f in floors.items():
+                assert f == twist_coord(Z, y) // kind.twist_shift
+
+
+def test_greedy_count_is_the_largest_far_set():
+    rng = random.Random(404)
+    for _ in range(400):
+        floors = [rng.randint(-6, 6) for _ in range(rng.randint(0, 8))]
+        l = rng.randint(1, 9)
+        largest = max(
+            (size for size in range(len(floors) + 1)
+             for chosen in combinations(floors, size)
+             if all(abs(a - b) + 2 > l for a, b in combinations(chosen, 2))),
+            default=0,
+        )
+        assert _largest_far_count(floors, l) == largest, (floors, l)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_check_P_matches_pairwise_reference(kind):
+    rng = random.Random(202)
+    failures = 0
+    for trial in range(300):
+        core = random_slope(rng, 8)
+        A = twisted_family(rng, kind, core, rng.randint(2, 13))
+        if trial % 3 == 0:
+            A |= {random_slope(rng, 10) for _ in range(3)}
+        l = rng.choice([1, 1, 2, 2, 3, 4, 6, 9])
+        k = rng.randint(2, 8)
+        cores = [core, random_slope(rng, 8)]
+        for Z in [WHOLE] + [SubsurfaceRef(Annulus(c)) for c in cores]:
+            expected = ref_check_P(kind, A, l, k, Z)
+            report = check_P(kind, A, l, k, Z)
+            assert report.holds == (expected is None), (sorted(A), l, k, str(Z))
+            if expected is not None:
+                failures += 1
+                assert report.witness == (expected, Z)
+    assert failures > 100  # the corpus exercises the witness search
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_ulfp_witness_matches_pairwise_reference(kind):
+    rng = random.Random(303)
+    seen = set()
+    for _ in range(60):
+        core = random_slope(rng, 5)
+        A = twisted_family(rng, kind, core, rng.randint(1, 6))
+        A |= {random_slope(rng, 6) for _ in range(rng.randint(0, 2))}
+        l = rng.choice([1, 2, 3, 5, 8, 12])
+        k = rng.randint(2, 8)
+        got = ulfp_witness(kind, A, l, k).to_json()
+        assert got == ref_ulfp_witness(kind, A, l, k), (sorted(A), l, k)
+        seen.add((got["type"], got.get("subsurface", "-")[:7]))
+        report = check_P_all(kind, A, l, k)
+        assert report.holds == (got["type"] == "covered")
+    assert seen == {("witness", "whole"), ("witness", "annulus"), ("covered", "-")}
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_bgit_audit_matches_pairwise_reference(kind):
+    pairs = far_pair_corpus(5, 25) + [(INFINITY, Slope(0, 1))]
+    best, attaining, skipped = 0, None, 0
+    for x, y in pairs:
+        if distance(x, y) <= 2:
+            skipped += 1
+            continue
+        paths = geodesics(x, y)
+        vertices = [v for g in paths for v in g.vertices[1:-1]]
+        value, at = ref_min_side(kind, x, y, vertices, ref_cores([sorted((x, y))]))
+        single = bgit_audit(kind, [(x, y)])
+        assert single.value == value
+        assert single.attaining == (None if at is None else (x, y, *at))
+        if value > best:
+            best, attaining = value, (x, y, *at)
+    audit = bgit_audit(kind, pairs)
+    assert (audit.value, audit.attaining) == (best, attaining)
+    assert (audit.pairs_audited, audit.pairs_skipped) == (len(pairs) - skipped, skipped)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_weak_tight_index_matches_pairwise_reference(kind):
+    for x, y in far_pair_corpus(9, 12):
+        for g in sorted(geodesics(x, y))[:3]:
+            cores = ref_cores(combinations(sorted(set(g.vertices)), 2))
+            value, at = ref_min_side(kind, x, y, g.vertices, cores)
+            report = weak_tight_index(kind, g)
+            assert report.index == value
+            expected = None if at is None else (at[0], Annulus(at[1]))
+            assert report.attaining == expected
