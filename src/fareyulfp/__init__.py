@@ -1,5 +1,7 @@
 """Exact local-finiteness toolkit for the genus-one curve graphs."""
 
+__version__ = "0.1.0"  # the single source of the package version
+
 from .annular import Annulus, TwistCoord, annular_distance, projects, twist_coord
 from .bounds import (
     BigBound,

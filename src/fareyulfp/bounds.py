@@ -6,10 +6,12 @@ The threshold N_S(l, k) is ((l+2M+2)k)^(l+1) on the once-holed torus,
 the bounds over strictly smaller complexity.  Values explode
 superexponentially, so every result carries a rational upper bound on its
 log10 and the exact integer is only materialized below a digit cap.
+Exact values are printed by ``decimal_string``, in quasi-linear time.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +26,48 @@ _LOG10_2_UPPER = Fraction(math.log10(2)) + Fraction(1, 10**15)
 _SLACK = Fraction(1, 10**9)
 
 DEFAULT_DIGIT_CAP = 10**6
+_CACHE_SIZE = 128  # bound values kept per cache; exact ones reach 10^6 digits
+_SPLIT_BITS = 1000  # parts this small are converted directly
+
+
+def decimal_string(n: int) -> str:
+    """``str(n)`` in O(M(n) log n) time, also where ``str(int)`` is quadratic.
+
+    Divide-and-conquer radix conversion (Brent & Zimmermann, *Modern
+    Computer Arithmetic*, 2010, section 1.7): split ``n = hi * 2^w + lo``
+    and combine the halves in ``decimal``, whose large multiplications are
+    number-theoretic transforms.  The context traps ``Inexact``, so a
+    rounding raises instead of printing a wrong digit.
+    """
+    if n.bit_length() <= _SPLIT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + decimal_string(-n)
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        return str(_to_decimal(n, n.bit_length(), {}))
+
+
+def _to_decimal(n: int, w: int, powers: dict) -> decimal.Decimal:
+    """The exact Decimal of ``0 <= n < 2^w``; ``powers`` memoises 2^w."""
+    if w <= _SPLIT_BITS:
+        return decimal.Decimal(n)
+    half = w >> 1
+    hi = n >> half
+    lo = _to_decimal(n - (hi << half), half, powers)
+    return lo + _to_decimal(hi, w - half, powers) * _power_of_two(half, powers)
+
+
+def _power_of_two(w: int, powers: dict) -> decimal.Decimal:
+    if w not in powers:
+        if w <= _SPLIT_BITS:
+            powers[w] = decimal.Decimal(2) ** w
+        else:
+            powers[w] = _power_of_two(w >> 1, powers) * _power_of_two(w - (w >> 1), powers)
+    return powers[w]
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +127,7 @@ class BigBound:
 
     def __str__(self) -> str:
         if self.exact is not None:
-            return str(self.exact)
+            return decimal_string(self.exact)
         return f"10^{float(self.log10_upper):.6f}"
 
 
@@ -99,7 +143,7 @@ def log10_upper(value: int) -> Fraction:
     return Fraction(math.log10(lead + 1)) + shift * _LOG10_2_UPPER + _SLACK
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _n_exact(xi: int, l: int, k: int, M: int, torus: bool) -> int:
     if xi == 1:
         base_len = l + 2 * M + 2
@@ -112,7 +156,7 @@ def _n_exact(xi: int, l: int, k: int, M: int, torus: bool) -> int:
     return (2 * n_prime) ** (l + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _n_log10(xi: int, l: int, k: int, M: int, torus: bool) -> Fraction:
     if xi == 1:
         base_len = l + 2 * M + 2

@@ -2,7 +2,8 @@
 
 Every subcommand prints a single RunReport JSON document on stdout.
 Exit status: 0 on success, 2 on argument errors (malformed slopes,
-geodesics or surfaces, unreadable input files), 3 when a precondition or
+geodesics or surfaces, unreadable or malformed input files, the latter
+named as "file:line" where a line is at fault), 3 when a precondition or
 theorem hypothesis is violated (the message names it).
 """
 
@@ -13,12 +14,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
-from importlib import metadata
+from dataclasses import dataclass
 
+from . import __version__ as VERSION
 from . import bounds as bounds_mod
 from . import graphcore, projections, slices
-from .errors import PreconditionViolation
+from .errors import MalformedLine, PreconditionViolation, parse_lines
 from .farey import (
     Geodesic,
     Slope,
@@ -31,10 +32,9 @@ from .farey import (
 )
 from .annular import Annulus, annular_distance, twist_coord
 
-try:
-    VERSION = metadata.version("fareyulfp")
-except metadata.PackageNotFoundError:  # pragma: no cover
-    VERSION = "unknown"
+
+class InputFileError(Exception):
+    """An input file does not parse; reported as an argument error."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,22 @@ def _argument_type(name: str, parse):
 def _parse_surface(text: str) -> bounds_mod.Surface:
     g, n = (int(tok) for tok in text.split(","))
     return bounds_mod.Surface(g, n)
+
+
+def _slope_pair(text: str) -> tuple[Slope, Slope]:
+    left, right = text.split()
+    return Slope.parse(left), Slope.parse(right)
+
+
+def _read_input(path: str, parse):
+    """``parse`` the lines of the file at ``path``, naming it in any parse error."""
+    with open(path) as fh:
+        try:
+            return parse(fh)
+        except MalformedLine as exc:
+            raise InputFileError(f"{path}:{exc.line}: {exc}") from None
+        except ValueError as exc:
+            raise InputFileError(f"{path}: {exc}") from None
 
 
 _slope = _argument_type("slope", Slope.parse)
@@ -185,18 +201,11 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
             "distance": annular_distance(kind, Z, y, z),
         }
     if cmd == "ulfp":
-        with open(args.set_file) as fh:
-            curves = parse_slope_file(fh)
+        curves = _read_input(args.set_file, parse_slope_file)
         cert = projections.ulfp_witness(kind, curves, args.l, args.k)
         return {"certificate": cert.to_json()}
     if cmd == "audit-bgit":
-        with open(args.pairs) as fh:
-            pairs = []
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    left, right = line.split()
-                    pairs.append((Slope.parse(left), Slope.parse(right)))
+        pairs = _read_input(args.pairs, lambda fh: parse_lines(fh, _slope_pair))
         return projections.bgit_audit(kind, pairs).to_json()
     if cmd == "slice":
         query = slices.SliceQuery(args.a, args.b, args.c, args.slice_delta, args.r)
@@ -242,14 +251,8 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
             "value": str(value),
         }
     if cmd == "graph-ulfp":
-        with open(args.graph) as fh:
-            graph = graphcore.FiniteGraph.parse(fh)
-        with open(args.set_file) as fh:
-            vertex_set = [
-                int(line.split("#", 1)[0])
-                for line in fh
-                if line.split("#", 1)[0].strip()
-            ]
+        graph = _read_input(args.graph, graphcore.FiniteGraph.parse)
+        vertex_set = _read_input(args.set_file, lambda fh: parse_lines(fh, int))
         result = graphcore.greedy_separated(graph, vertex_set, args.l, args.k)
         if isinstance(result, graphcore.SeparatedWitness):
             return {
@@ -275,7 +278,7 @@ def run(argv: list[str]) -> int:
     except PreconditionViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:  # an input file that cannot be read is a bad argument
+    except (OSError, InputFileError) as exc:  # an unreadable or malformed input file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input-line parser that raises them."""
+
+from __future__ import annotations
+
+from typing import Callable, Iterable, TypeVar
+
+_T = TypeVar("_T")
 
 
 class EmptyProjection(ValueError):
@@ -18,3 +24,27 @@ class HypothesisViolation(PreconditionViolation):
 
 class DisconnectedQuery(ValueError):
     """A distance or cover query spans several graph components."""
+
+
+class MalformedLine(ValueError):
+    """A line of an input file does not parse; ``line`` is its 1-based number."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(message)
+        self.line = line
+
+
+def parse_lines(lines: Iterable[str], parse: Callable[[str], _T]) -> list[_T]:
+    """Apply ``parse`` to each line that is not blank once "#" comments are cut.
+
+    A ``ValueError`` from ``parse`` becomes a ``MalformedLine`` naming the line.
+    """
+    out = []
+    for number, raw in enumerate(lines, 1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            try:
+                out.append(parse(text))
+            except ValueError as exc:
+                raise MalformedLine(number, f"{text!r}: {exc}") from None
+    return out

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, parse_lines
 
 
 class SurfaceKind(Enum):
@@ -399,9 +399,4 @@ def random_neighbor(x: Slope, offset: int) -> Slope:
 
 def parse_slope_file(lines: Iterable[str]) -> list[Slope]:
     """Slope-list format: one "p/q" per line, "#" starts a comment."""
-    out = []
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(Slope.parse(line))
-    return out
+    return parse_lines(lines, Slope.parse)

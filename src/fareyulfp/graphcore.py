@@ -13,7 +13,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DisconnectedQuery, PreconditionViolation
+from .errors import DisconnectedQuery, PreconditionViolation, parse_lines
+
+
+def _int_pair(text: str) -> tuple[int, int]:
+    u, v = (int(tok) for tok in text.split())
+    return u, v
 
 
 class FiniteGraph:
@@ -65,15 +70,11 @@ class FiniteGraph:
     @classmethod
     def parse(cls, lines: Iterable[str]) -> "FiniteGraph":
         """Graph file format: first line "n m", then m lines "u v"."""
-        rows = [ln.split("#", 1)[0].strip() for ln in lines]
-        rows = [r for r in rows if r]
+        rows = parse_lines(lines, _int_pair)
         if not rows:
             raise ValueError("empty graph file")
-        n, m = (int(tok) for tok in rows[0].split())
-        edges = []
-        for row in rows[1 : m + 1]:
-            u, v = (int(tok) for tok in row.split())
-            edges.append((u, v))
+        n, m = rows[0]
+        edges = rows[1 : m + 1]
         if len(edges) != m:
             raise ValueError(f"expected {m} edges, found {len(edges)}")
         return cls(n, edges)

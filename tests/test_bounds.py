@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fareyulfp import bounds
 from fareyulfp.bounds import (
     BigBound,
     BoundParams,
@@ -15,6 +21,7 @@ from fareyulfp.bounds import (
     Surface,
     TORUS_1_1,
     complexity,
+    decimal_string,
     growth_upper,
     log10_upper,
     n_bound,
@@ -151,3 +158,116 @@ class TestBigBound:
     def test_mode_property(self):
         assert BigBound(Fraction(2), 100).mode == "exact"
         assert BigBound(Fraction(2)).mode == "log10"
+
+
+@contextlib.contextmanager
+def no_str_digit_limit():
+    """Lift the int-to-str digit limit for the reference ``str(n)``, then restore it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def unlimited_str_digits():
+    with no_str_digit_limit():
+        yield
+
+
+_SPLIT_BITS = bounds._SPLIT_BITS
+# around one and two splits: 2^k and 10^k cross the part size there
+_NEAR_SPLIT = st.one_of(
+    st.builds(
+        lambda k, d: 2**k + d,
+        st.integers(_SPLIT_BITS - 8, 2 * _SPLIT_BITS + 8),
+        st.sampled_from([-1, 0, 1]),
+    ),
+    st.builds(
+        lambda k, d: 10**k + d,
+        st.integers(_SPLIT_BITS * 3 // 10 - 4, _SPLIT_BITS * 6 // 10 + 4),
+        st.sampled_from([-1, 0, 1]),
+    ),
+)
+# up to about 10^5 digits
+_RANDOM_BIG = st.builds(
+    lambda bits, seed: random.Random(seed).getrandbits(bits),
+    st.integers(0, 332_000),
+    st.integers(0, 2**32),
+)
+
+
+class TestDecimalString:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(), _NEAR_SPLIT, _RANDOM_BIG), st.booleans())
+    @example(0, False)
+    @example(1, True)
+    @example(2**_SPLIT_BITS, True)
+    @example(random.Random(5).getrandbits(332_000), False)  # about 10^5 digits
+    def test_equals_str(self, n, negate):
+        n = -n if negate else n
+        with no_str_digit_limit():
+            assert decimal_string(n) == str(n)
+
+    def test_every_width_across_the_first_splits(self, unlimited_str_digits):
+        for k in range(_SPLIT_BITS - 4, 4 * _SPLIT_BITS + 4, 7):
+            for n in (2**k - 1, 2**k, 2**k + 1):
+                assert decimal_string(n) == str(n), k
+
+    def test_needs_no_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter default
+        try:
+            text = decimal_string(7**20_000)  # 16 902 digits
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(text) == 16_902 and text.endswith(str(pow(7, 20_000, 10**30)))
+
+    def test_big_str_rendering_matches_str(self, unlimited_str_digits):
+        value = n_bound(TORUS_1_1, BoundParams(500, 3, 2))
+        assert str(value) == str(value.exact)
+
+
+class TestCachesBounded:
+    def test_distinct_l_loop_stays_bounded(self):
+        for l in range(1, 3 * bounds._CACHE_SIZE):
+            n_bound(TORUS_1_1, BoundParams(l, 2, 1))
+        for cache in (bounds._n_exact, bounds._n_log10):
+            assert cache.cache_info().currsize <= bounds._CACHE_SIZE
+
+
+def _cli_bound(capsys, l: int, k: int) -> str:
+    from fareyulfp.cli import run
+
+    code = run(["bounds", "--surface", "1,1", "--l", str(l), "--k", str(k)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    outputs = json.loads(captured.out)["outputs"]
+    assert outputs["mode"] == "exact"
+    return outputs["value"]
+
+
+class TestCliExactValues:
+    """Printed exact bounds checked by routes that never call ``str(int)`` on them."""
+
+    def test_largest_default_cap_value(self, capsys):
+        # 940 445 digits, below the default 10^6-digit cap
+        l, k, M = 170_000, 2, 100
+        base = (l + 2 * M + 2) * k
+        value = _cli_bound(capsys, l, k)
+        assert value.isdigit() and value[0] != "0"
+        assert value[-40:] == str(pow(base, l + 1, 10**40)).zfill(40)
+        log10_value = (l + 1) * math.log10(base)
+        assert len(value) == math.floor(log10_value) + 1 == 940_445
+        envelope = n_bound(TORUS_1_1, BoundParams(l, k, M), mode="log10").log10_upper
+        assert len(value) - 1 <= envelope < len(value)
+        leading = 10 ** (log10_value - math.floor(log10_value) + 7)
+        assert abs(int(value[:8]) - leading) <= 2
+
+    def test_report_equals_str_of_closed_form(self, capsys, unlimited_str_digits):
+        l, k, M = 28_000, 2, 100
+        value = _cli_bound(capsys, l, k)
+        assert len(value) > 130_000
+        assert value == str(((l + 2 * M + 2) * k) ** (l + 1))

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from corpus import BGIT_CORPUS_SEED, M_EMP, far_pair_corpus
+import fareyulfp
 from fareyulfp.cli import Config, run
 from fareyulfp.errors import PreconditionViolation
 
@@ -36,6 +37,7 @@ class TestCommands:
         assert report["outputs"]["distance"] == 3
         assert report["command"] == "dist"
         assert report["config"]["kind"] == "torus"
+        assert report["version"] == fareyulfp.__version__ == "0.1.0"
 
     def test_dist_deterministic(self, capsys):
         one = invoke(capsys, ["dist", "1/0", "5/12"])
@@ -167,6 +169,37 @@ class TestExitCodes:
     def test_surface_below_complexity_one_exits_two(self, capsys):
         line = self.bad_argument(capsys, ["bounds", "--surface", "0,2", "--l", "1", "--k", "2"])
         assert "error:" in line and "0,2" in line
+
+
+    def test_malformed_set_line_exits_two(self, capsys, tmp_path):
+        curves = tmp_path / "curves.txt"
+        curves.write_text("# family\n1/3\n1/2/3\n")
+        line = self.bad_argument(capsys, ["ulfp", "--set", str(curves), "--l", "2", "--k", "2"])
+        assert line.startswith(f"error: {curves}:3: ") and "1/2/3" in line
+
+    def test_malformed_pairs_line_exits_two(self, capsys, tmp_path):
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("1/0 1/2/3\n")
+        line = self.bad_argument(capsys, ["audit-bgit", "--pairs", str(pairs)])
+        assert line.startswith(f"error: {pairs}:1: ") and "1/2/3" in line
+
+    def test_malformed_graph_line_exits_two(self, capsys, tmp_path):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("x y\n")
+        vertex_set = tmp_path / "set.txt"
+        vertex_set.write_text("0\n")
+        argv = ["graph-ulfp", "--graph", str(graph), "--set", str(vertex_set), "--l", "1", "--k", "2"]
+        line = self.bad_argument(capsys, argv)
+        assert line.startswith(f"error: {graph}:1: ") and "'x y'" in line
+
+    def test_malformed_vertex_set_line_exits_two(self, capsys, tmp_path):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("3 2\n0 1\n1 2\n")
+        vertex_set = tmp_path / "set.txt"
+        vertex_set.write_text("0\n# comment\n\nv2\n")
+        argv = ["graph-ulfp", "--graph", str(graph), "--set", str(vertex_set), "--l", "1", "--k", "2"]
+        line = self.bad_argument(capsys, argv)
+        assert line.startswith(f"error: {vertex_set}:4: ") and "v2" in line
 
 
 class TestEnvironment:
