@@ -145,26 +145,47 @@ def log10_upper(value: int) -> Fraction:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _n_exact(xi: int, l: int, k: int, M: int, torus: bool) -> int:
-    if xi == 1:
-        base_len = l + 2 * M + 2
-        base = base_len * k if torus else 2 * base_len * k
-        return base ** (l + 1)
-    L = l + 2 * M
-    # the maximum over smaller complexity is surface-blind above xi = 1
-    # and the sphere dominates the torus at xi = 1
-    n_prime = max(_n_exact(c, L, k, M, False) for c in range(1, xi))
-    return (2 * n_prime) ** (l + 1)
+    return _exact(xi, l, k, M, torus, {})
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _n_log10(xi: int, l: int, k: int, M: int, torus: bool) -> Fraction:
-    if xi == 1:
-        base_len = l + 2 * M + 2
-        base = base_len * k if torus else 2 * base_len * k
-        return (l + 1) * log10_upper(base)
-    L = l + 2 * M
-    n_prime = max(_n_log10(c, L, k, M, False) for c in range(1, xi))
-    return (l + 1) * (_LOG10_2_UPPER + _SLACK + n_prime)
+    return _log10(xi, l, k, M, torus, {})
+
+
+# The recursions below reach about xi^2 / 2 subproblems (xi', l'), each
+# needed many times; ``memo`` holds them for one top-level call only, so
+# the cost stays polynomial in xi while the caches above stay bounded.
+
+
+def _exact(xi: int, l: int, k: int, M: int, torus: bool, memo: dict) -> int:
+    key = (xi, l, torus)
+    if key not in memo:
+        if xi == 1:
+            base_len = l + 2 * M + 2
+            base = base_len * k if torus else 2 * base_len * k
+            memo[key] = base ** (l + 1)
+        else:
+            L = l + 2 * M
+            # the maximum over smaller complexity is surface-blind above xi = 1
+            # and the sphere dominates the torus at xi = 1
+            n_prime = max(_exact(c, L, k, M, False, memo) for c in range(1, xi))
+            memo[key] = (2 * n_prime) ** (l + 1)
+    return memo[key]
+
+
+def _log10(xi: int, l: int, k: int, M: int, torus: bool, memo: dict) -> Fraction:
+    key = (xi, l, torus)
+    if key not in memo:
+        if xi == 1:
+            base_len = l + 2 * M + 2
+            base = base_len * k if torus else 2 * base_len * k
+            memo[key] = (l + 1) * log10_upper(base)
+        else:
+            L = l + 2 * M
+            n_prime = max(_log10(c, L, k, M, False, memo) for c in range(1, xi))
+            memo[key] = (l + 1) * (_LOG10_2_UPPER + _SLACK + n_prime)
+    return memo[key]
 
 
 def n_bound(

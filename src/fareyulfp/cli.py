@@ -271,6 +271,7 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
 def run(argv: list[str]) -> int:
     args = _PARSER.parse_args(argv)
     started = time.monotonic()
+    limit = sys.get_int_max_str_digits()
     try:
         config = _config_from_args(args)
         sys.set_int_max_str_digits(max(config.exact_digit_cap + 100, 10_000))
@@ -281,6 +282,8 @@ def run(argv: list[str]) -> int:
     except (OSError, InputFileError) as exc:  # an unreadable or malformed input file
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:  # the raised limit is for this command only, not for its caller
+        sys.set_int_max_str_digits(limit)
     report = {
         "command": args.command,
         "argv": list(argv),

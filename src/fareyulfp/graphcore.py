@@ -74,7 +74,7 @@ class FiniteGraph:
         if not rows:
             raise ValueError("empty graph file")
         n, m = rows[0]
-        edges = rows[1 : m + 1]
+        edges = rows[1:]
         if len(edges) != m:
             raise ValueError(f"expected {m} edges, found {len(edges)}")
         return cls(n, edges)

@@ -237,6 +237,49 @@ class TestCachesBounded:
         for cache in (bounds._n_exact, bounds._n_log10):
             assert cache.cache_info().currsize <= bounds._CACHE_SIZE
 
+    def test_recursion_evaluates_each_leaf_once(self, monkeypatch):
+        # N(xi, l) takes the maximum of N(c, l + 2M) over every c < xi, so the
+        # recursion revisits about xi^2 / 2 subproblems; evaluated afresh on
+        # each visit, the xi = 1 leaves alone would run into the millions
+        leaves = []
+        real = bounds.log10_upper
+        monkeypatch.setattr(bounds, "log10_upper", lambda v: leaves.append(v) or real(v))
+        bounds._n_log10.cache_clear()
+        n_bound(Surface(9, 1), BoundParams(1, 2, 100), mode="log10")  # xi = 25
+        assert len(leaves) == 24  # one per l' = 1 + 200j, j = 1..24
+
+    @pytest.mark.parametrize(
+        "s, p, mode",
+        [
+            (Surface(13, 1), BoundParams(1, 2, 100), "log10"),  # xi = 37
+            (Surface(1, 3), BoundParams(1, 2, 1), "exact"),  # xi = 3
+            (Surface(2, 1), BoundParams(1, 2, 1), "exact"),  # xi = 4
+        ],
+    )
+    def test_matches_unbounded_recursion(self, s, p, mode):
+        value = n_bound(s, p, mode=mode)
+        got = value.exact if mode == "exact" else value.log10_upper
+        torus = s == TORUS_1_1
+        assert got == _reference(complexity(s), p.l, p.k, p.M, torus, mode == "exact")
+
+
+def _reference(xi: int, l: int, k: int, M: int, torus: bool, exact: bool):
+    """N_S(l, k) or its log10 envelope by the recursion, memoised in a plain dict."""
+    memo = {}
+
+    def n(c: int, l: int, torus: bool):
+        if (c, l, torus) not in memo:
+            if c == 1:
+                base = (l + 2 * M + 2) * k * (1 if torus else 2)
+                memo[c, l, torus] = base ** (l + 1) if exact else (l + 1) * log10_upper(base)
+            else:
+                inner = max(n(d, l + 2 * M, False) for d in range(1, c))
+                step = bounds._LOG10_2_UPPER + bounds._SLACK
+                memo[c, l, torus] = (2 * inner) ** (l + 1) if exact else (l + 1) * (step + inner)
+        return memo[c, l, torus]
+
+    return n(xi, l, torus)
+
 
 def _cli_bound(capsys, l: int, k: int) -> str:
     from fareyulfp.cli import run

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -170,7 +171,6 @@ class TestExitCodes:
         line = self.bad_argument(capsys, ["bounds", "--surface", "0,2", "--l", "1", "--k", "2"])
         assert "error:" in line and "0,2" in line
 
-
     def test_malformed_set_line_exits_two(self, capsys, tmp_path):
         curves = tmp_path / "curves.txt"
         curves.write_text("# family\n1/3\n1/2/3\n")
@@ -192,6 +192,15 @@ class TestExitCodes:
         line = self.bad_argument(capsys, argv)
         assert line.startswith(f"error: {graph}:1: ") and "'x y'" in line
 
+    def test_extra_graph_edge_row_exits_two(self, capsys, tmp_path):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("3 1\n0 1\n1 2\n")
+        vertex_set = tmp_path / "set.txt"
+        vertex_set.write_text("0\n")
+        argv = ["graph-ulfp", "--graph", str(graph), "--set", str(vertex_set), "--l", "1", "--k", "2"]
+        line = self.bad_argument(capsys, argv)
+        assert line.startswith(f"error: {graph}") and "expected 1 edges, found 2" in line
+
     def test_malformed_vertex_set_line_exits_two(self, capsys, tmp_path):
         graph = tmp_path / "graph.txt"
         graph.write_text("3 2\n0 1\n1 2\n")
@@ -200,6 +209,34 @@ class TestExitCodes:
         argv = ["graph-ulfp", "--graph", str(graph), "--set", str(vertex_set), "--l", "1", "--k", "2"]
         line = self.bad_argument(capsys, argv)
         assert line.startswith(f"error: {vertex_set}:4: ") and "v2" in line
+
+
+class TestDigitLimit:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["dist", "1/0", "1/2"], 0),
+            (["audit-bgit", "--pairs", "{missing}"], 2),
+            (["slice", "1/0", "1/2", "7/2", "--delta", "1"], 3),
+        ],
+    )
+    def test_run_restores_the_callers_limit(self, capsys, tmp_path, argv, code):
+        argv = [a.format(missing=tmp_path / "nonexistent") for a in argv]
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)  # differs from any limit run sets
+        try:
+            assert run(argv) == code
+            assert sys.get_int_max_str_digits() == 4321
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    def test_outputs_beyond_the_default_limit_print(self, capsys):
+        # slopes that parse under the default 4 300-digit limit can have
+        # twist coordinates far longer than it
+        core = f"{10**3000 + 1}/{10**2999 + 3}"
+        y = f"{7 * 10**3000 + 9}/{10**3000 + 11}"
+        twist = invoke(capsys, ["project", "--core", core, y, "1/0"])["outputs"]["twist"]
+        assert max(len(text) for text in twist.values()) > 12_000
 
 
 class TestEnvironment:

@@ -63,6 +63,8 @@ class TestFiniteGraph:
         assert g.n == 4 and g.m == 3
         with pytest.raises(ValueError):
             FiniteGraph.parse(["3 2", "0 1"])
+        with pytest.raises(ValueError, match="expected 1 edges, found 2"):
+            FiniteGraph.parse(["3 1", "0 1", "1 2"])
 
     def test_components_and_distance(self):
         g = FiniteGraph(5, [(0, 1), (1, 2), (3, 4)])
