@@ -128,7 +128,16 @@ class BigBound:
     def __str__(self) -> str:
         if self.exact is not None:
             return decimal_string(self.exact)
-        return f"10^{float(self.log10_upper):.6f}"
+        return f"10^{_six_decimals(self.log10_upper)}"
+
+
+def _six_decimals(x: Fraction) -> str:
+    """``f"{float(x):.6f}"``, and the exactly rounded digits where x overflows a float."""
+    try:
+        return f"{float(x):.6f}"
+    except OverflowError:
+        whole, part = divmod(round(x * 10**6), 10**6)
+        return f"{decimal_string(whole)}.{part:06d}"
 
 
 def log10_upper(value: int) -> Fraction:

@@ -4,7 +4,8 @@ Every subcommand prints a single RunReport JSON document on stdout.
 Exit status: 0 on success, 2 on argument errors (malformed slopes,
 geodesics or surfaces, unreadable or malformed input files, the latter
 named as "file:line" where a line is at fault), 3 when a precondition or
-theorem hypothesis is violated (the message names it).
+theorem hypothesis is violated (the message names it), 4 when an internal
+self-check fails (a defect, not bad input).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from . import __version__ as VERSION
 from . import bounds as bounds_mod
 from . import graphcore, projections, slices
-from .errors import MalformedLine, PreconditionViolation, parse_lines
+from .errors import InternalCheckFailure, MalformedLine, PreconditionViolation, parse_lines
 from .farey import (
     Geodesic,
     Slope,
@@ -282,6 +283,9 @@ def run(argv: list[str]) -> int:
     except (OSError, InputFileError) as exc:  # an unreadable or malformed input file
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckFailure as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 4
     finally:  # the raised limit is for this command only, not for its caller
         sys.set_int_max_str_digits(limit)
     report = {

@@ -26,6 +26,13 @@ class DisconnectedQuery(ValueError):
     """A distance or cover query spans several graph components."""
 
 
+class InternalCheckFailure(RuntimeError):
+    """Two computations of one certified value disagree.
+
+    It reports a defect or a failed engineering hypothesis, never bad input.
+    """
+
+
 class MalformedLine(ValueError):
     """A line of an input file does not parse; ``line`` is its 1-based number."""
 

@@ -6,6 +6,19 @@ distance and geodesic queries run inside a finite candidate set built from
 the Farey-tessellation triangles crossed by the hyperbolic line between
 the endpoints; the companion :mod:`fareyulfp.boxgraph` oracle is used by
 the test suite to certify that this restriction loses nothing.
+
+Geodesics are searched in the candidate closure: the pivot strip (the
+crossed triangles, whose edges the Stern-Brocot walk lists) plus the third
+vertex of each triangle on a strip edge.  An edge u -- w bounds exactly two
+triangles, with third vertices u + w and u - w, so the closure graph is read
+off the walk in time linear in its length.  It misses no Farey edge between
+closure vertices.  The strip is an ideal polygon triangulated by its walk
+edges, and Farey edges never cross.  An edge joining two pivots therefore
+lies in the polygon and is one of its walk edges.  An added vertex z sits
+across a boundary edge u -- w, alone in the arc that edge cuts off, so an
+edge from z to any other closure vertex would cross u -- w unless it ends at
+u or w.  The test suite checks this graph against a determinant scan of
+every vertex pair.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import PreconditionViolation, parse_lines
+from .errors import InternalCheckFailure, PreconditionViolation, parse_lines
 
 
 class SurfaceKind(Enum):
@@ -229,7 +242,7 @@ def common_neighbors(u: Slope, w: Slope) -> frozenset[Slope]:
     return frozenset(out)
 
 
-def _bfs(adjacency: dict[Slope, list[Slope]], source: Slope) -> dict[Slope, int]:
+def _bfs(adjacency: dict[Slope, Iterable[Slope]], source: Slope) -> dict[Slope, int]:
     dist = {source: 0}
     frontier = [source]
     while frontier:
@@ -253,7 +266,7 @@ def _distance_normalized(t: Slope) -> int:
         adjacency[w].append(u)
     dist = _bfs(adjacency, INFINITY)
     if t not in dist:
-        raise RuntimeError(f"pivot strip failed to connect 1/0 to {t}")
+        raise InternalCheckFailure(f"pivot strip failed to connect 1/0 to {t}")
     return dist[t]
 
 
@@ -306,37 +319,38 @@ class Geodesic:
         return cls(tuple(Slope.parse(part) for part in text.split(",")))
 
 
-def _closure_normalized(t: Slope) -> list[Slope]:
-    """Pivots plus common neighbors of adjacent pivot pairs, in the chart."""
-    pivots, edges = _normalized_walk(t)
-    out = set(pivots)
+def _closure_adjacency(t: Slope) -> dict[Slope, set[Slope]]:
+    """The Farey graph on the candidate closure for 1/0 -- t, in the chart.
+
+    The closure is the pivot strip plus the third vertex of each triangle on
+    a strip edge.  The edge u -- w bounds the two triangles with third
+    vertices u + w and u - w, so the graph is read off the walk in linear
+    time; the module docstring explains why it misses no Farey edge.
+    """
+    _, edges = _normalized_walk(t)
+    adjacency: dict[Slope, set[Slope]] = {}
     for u, w in edges:
-        out |= common_neighbors(u, w)
-    return sorted(out)
-
-
-def _induced_adjacency(vertices: list[Slope]) -> dict[Slope, list[Slope]]:
-    adjacency: dict[Slope, list[Slope]] = {v: [] for v in vertices}
-    n = len(vertices)
-    for i in range(n):
-        vi = vertices[i]
-        for j in range(i + 1, n):
-            vj = vertices[j]
-            if abs(vi.p * vj.q - vi.q * vj.p) == 1:
-                adjacency[vi].append(vj)
-                adjacency[vj].append(vi)
+        adjacency.setdefault(u, set()).add(w)
+        adjacency.setdefault(w, set()).add(u)
+        for p, q in ((u.p + w.p, u.q + w.q), (u.p - w.p, u.q - w.q)):
+            # det(u, w) = +-1 makes (p, q) reduced; only its sign needs fixing
+            v = INFINITY if q == 0 else Slope(p, q) if q > 0 else Slope(-p, -q)
+            adjacency.setdefault(v, set()).update((u, w))
+            adjacency[u].add(v)
+            adjacency[w].add(v)
     return adjacency
 
 
 @lru_cache(maxsize=1 << 13)
 def _geodesics_normalized(t: Slope) -> tuple[tuple[Slope, ...], ...]:
     """All geodesics from 1/0 to t with vertices in the candidate closure."""
-    closure = _closure_normalized(t)
-    adjacency = _induced_adjacency(closure)
+    adjacency = _closure_adjacency(t)
     to_target = _bfs(adjacency, t)
     d = to_target.get(INFINITY)
     if d is None or d != _distance_normalized(t):
-        raise RuntimeError(f"candidate closure disagrees with strip distance for {t}")
+        raise InternalCheckFailure(
+            f"candidate closure disagrees with strip distance for {t}"
+        )
     paths: list[tuple[Slope, ...]] = []
 
     def descend(v: Slope, prefix: list[Slope]) -> None:
@@ -379,11 +393,9 @@ def link_at_distance(x: Slope, target: Slope, d: int) -> frozenset[Slope]:
     g = normalizer_to_infinity(x)
     ginv = g.inverse()
     t = apply(g, target)
-    out = set()
-    for v in _closure_normalized(t):
-        if v.q == 1 and distance(v, t) == d:
-            out.add(apply(ginv, v))
-    return frozenset(out)
+    return frozenset(
+        apply(ginv, v) for v in _closure_adjacency(t)[INFINITY] if distance(v, t) == d
+    )
 
 
 def geodesic_vertices(x: Slope, y: Slope) -> frozenset[Slope]:

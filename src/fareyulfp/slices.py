@@ -16,7 +16,7 @@ from typing import Optional
 
 from .annular import Annulus
 from .bounds import BigBound, log10_upper, slice_bound_tight, slice_bound_weak, surface_for_kind
-from .errors import HypothesisViolation, PreconditionViolation
+from .errors import HypothesisViolation, InternalCheckFailure, PreconditionViolation
 from .farey import (
     Geodesic,
     Slope,
@@ -225,5 +225,5 @@ def verify_slice_bounds(
     size_log10 = log10_upper(max(len(members), 1))
     margin = float(bound.log10_upper - size_log10)
     if len(members) > 0 and bound.exact is not None and len(members) > bound.exact:
-        raise AssertionError("slice exceeds its computable bound")
+        raise InternalCheckFailure("slice exceeds its computable bound")
     return SliceVerification(query, members, exact, bound, margin, D)

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from corpus import BGIT_CORPUS_SEED, M_EMP, far_pair_corpus
 import fareyulfp
+from fareyulfp import farey
+from fareyulfp.bounds import BoundParams, Surface, n_bound
 from fareyulfp.cli import Config, run
 from fareyulfp.errors import PreconditionViolation
 
@@ -114,6 +117,14 @@ class TestCommands:
         )["outputs"]
         assert len(slice_out["bounds"]) == 2
 
+    def test_bounds_beyond_float_range(self, capsys):
+        # xi = 88: log10 of the bound is far above the largest float
+        out = invoke(capsys, ["bounds", "--surface", "30,1", "--l", "1", "--k", "2"])["outputs"]
+        assert out["mode"] == "log10" and out["value"].startswith("10^")
+        envelope = n_bound(Surface(30, 1), BoundParams(1, 2, 100)).log10_upper
+        assert envelope > 10**309
+        assert abs(Fraction(out["value"][3:]) - envelope) <= Fraction(1, 2 * 10**6)
+
     def test_graph_ulfp(self, capsys, tmp_path):
         graph = tmp_path / "graph.txt"
         graph.write_text("6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n")
@@ -141,6 +152,15 @@ class TestExitCodes:
     def test_bad_config_exits_three(self, capsys):
         code = run(["--M", "0", "dist", "1/0", "0/1"])
         assert code == 3
+
+    def test_internal_check_failure_exits_four(self, capsys, monkeypatch):
+        monkeypatch.setattr(farey, "_distance_normalized", lambda t: -1)
+        farey._geodesics_normalized.cache_clear()
+        code = run(["geod", "1/0", "2/5"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        line = captured.err.strip()
+        assert line.startswith("error: internal check failed:") and "2/5" in line
 
     @staticmethod
     def bad_argument(capsys, argv: list[str]) -> str:

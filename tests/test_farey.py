@@ -35,6 +35,8 @@ from fareyulfp.farey import (
     parse_slope_file,
     pivot_candidates,
     random_neighbor,
+    _closure_adjacency,
+    _normalized_walk,
 )
 
 slope_ints = st.integers(min_value=-40, max_value=40)
@@ -43,6 +45,47 @@ slope_ints = st.integers(min_value=-40, max_value=40)
 def slopes(draw_q_zero: bool = True):
     base = st.tuples(slope_ints, slope_ints).filter(lambda t: t != (0, 0))
     return base.map(lambda t: canonical(*t))
+
+
+def from_terms(a0: int, terms: list[int]) -> Slope:
+    """The slope [a0; a1, ..., an] of a regular continued fraction."""
+    h, h_prev, k, k_prev = a0, 1, 1, 0
+    for a in terms:
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+    return Slope(h, k)
+
+
+# Long runs of small quotients give big-integer slopes; big quotients give
+# long walks.  The quotient sum is the walk length, capped so that the
+# quadratic reference below stays fast.
+small_quotient_runs = st.lists(st.integers(1, 3), max_size=40)
+big_quotients = st.lists(st.integers(1, 10**3), max_size=3).filter(
+    lambda terms: sum(terms) <= 10**3
+)
+partial_quotients = small_quotient_runs | big_quotients
+integer_parts = st.integers(-3, 3) | st.integers(-(10**40), 10**40)
+
+
+def closure_by_determinant_scan(t: Slope) -> dict[Slope, set[Slope]]:
+    """The closure graph built the slow way: |det| = 1 tested on every pair."""
+    pivots, edges = _normalized_walk(t)
+    vertices = set(pivots)
+    for u, w in edges:
+        vertices |= common_neighbors(u, w)
+    adjacency: dict[Slope, set[Slope]] = {v: set() for v in vertices}
+    for u, w in combinations(vertices, 2):
+        if abs(det(u, w)) == 1:
+            adjacency[u].add(w)
+            adjacency[w].add(u)
+    return adjacency
+
+
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 class TestSlope:
@@ -252,6 +295,23 @@ class TestCandidates:
         for v in link:
             assert adjacent(INFINITY, v)
             assert distance(v, target) == d - 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(integer_parts, partial_quotients)
+    def test_closure_graph_equals_determinant_scan(self, a0, terms):
+        t = from_terms(a0, terms)
+        assert _closure_adjacency(t) == closure_by_determinant_scan(t)
+
+    def test_reciprocal_has_one_geodesic(self):
+        t = Slope(1, 5003)
+        assert distance(INFINITY, t) == 2
+        assert geodesics(INFINITY, t) == {Geodesic((INFINITY, Slope(0, 1), t))}
+
+    @pytest.mark.parametrize("n", [1, 4, 10, 16])
+    def test_twos_have_fibonacci_many_geodesics(self, n):
+        t = from_terms(0, [2] * n)
+        assert distance(INFINITY, t) == n + 1
+        assert len(geodesics(INFINITY, t)) == fibonacci(n + 2)
 
     def test_random_neighbor_is_adjacent(self):
         x = Slope(3, 5)
