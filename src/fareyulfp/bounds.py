@@ -3,10 +3,20 @@
 The threshold N_S(l, k) is ((l+2M+2)k)^(l+1) on the once-holed torus,
 (2(l+2M+2)k)^(l+1) on the four-holed sphere, and recursively
 (2 N'(l+2M, k))^(l+1) in higher complexity, where N' is the maximum of
-the bounds over strictly smaller complexity.  Values explode
-superexponentially, so every result carries a rational upper bound on its
-log10 and the exact integer is only materialized below a digit cap.
-Exact values are printed by ``decimal_string``, in quasi-linear time.
+the bounds over strictly smaller complexity.  Write N(c, l) for the bound
+at complexity c, with the sphere base at c = 1 (it dominates the torus).
+
+The maximum is always at complexity xi - 1, so the recursion is a chain
+of xi steps.  N(1, l) increases in l, and the recursion keeps that, so N
+increases in l at every complexity.  Then N increases in c: for c >= 2,
+N(c, L) >= (2 N(c-1, L+2M))^(L+1) > N(c-1, L+2M) >= N(c-1, L).  The log10
+envelope follows the same steps, with log10 of 2 rounded up, so the same
+argument holds there because ``log10_upper`` is nondecreasing.
+
+Values explode superexponentially, so every result carries a rational
+upper bound on its log10 and the exact integer is only materialized below
+a digit cap.  Exact values are printed by ``decimal_string``, in
+quasi-linear time.
 """
 
 from __future__ import annotations
@@ -15,7 +25,6 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .errors import PreconditionViolation
@@ -26,7 +35,6 @@ _LOG10_2_UPPER = Fraction(math.log10(2)) + Fraction(1, 10**15)
 _SLACK = Fraction(1, 10**9)
 
 DEFAULT_DIGIT_CAP = 10**6
-_CACHE_SIZE = 128  # bound values kept per cache; exact ones reach 10^6 digits
 _SPLIT_BITS = 1000  # parts this small are converted directly
 
 
@@ -52,7 +60,7 @@ def decimal_string(n: int) -> str:
 
 
 def _to_decimal(n: int, w: int, powers: dict) -> decimal.Decimal:
-    """The exact Decimal of ``0 <= n < 2^w``; ``powers`` memoises 2^w."""
+    """The exact Decimal of ``0 <= n < 2^w``; ``powers`` keeps each 2^w built."""
     if w <= _SPLIT_BITS:
         return decimal.Decimal(n)
     half = w >> 1
@@ -152,49 +160,31 @@ def log10_upper(value: int) -> Fraction:
     return Fraction(math.log10(lead + 1)) + shift * _LOG10_2_UPPER + _SLACK
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _n_exact(xi: int, l: int, k: int, M: int, torus: bool) -> int:
-    return _exact(xi, l, k, M, torus, {})
+def _levels(xi: int, l: int, M: int) -> range:
+    """The l-arguments of the chain: l + 2M(xi-1) for N(1, .) down to l for N(xi, .)."""
+    return range(l + 2 * M * (xi - 1), l - 1, -2 * M)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _n_log10(xi: int, l: int, k: int, M: int, torus: bool) -> Fraction:
-    return _log10(xi, l, k, M, torus, {})
+def _base(l: int, k: int, M: int, torus: bool) -> int:
+    return (l + 2 * M + 2) * k * (1 if torus else 2)
 
 
-# The recursions below reach about xi^2 / 2 subproblems (xi', l'), each
-# needed many times; ``memo`` holds them for one top-level call only, so
-# the cost stays polynomial in xi while the caches above stay bounded.
+def _chain_exact(xi: int, l: int, k: int, M: int, torus: bool) -> int:
+    """N(xi, l); ``torus`` picks the S_1,1 base, so it implies xi = 1."""
+    first, *rest = _levels(xi, l, M)
+    value = _base(first, k, M, torus) ** (first + 1)
+    for L in rest:
+        value = (2 * value) ** (L + 1)
+    return value
 
 
-def _exact(xi: int, l: int, k: int, M: int, torus: bool, memo: dict) -> int:
-    key = (xi, l, torus)
-    if key not in memo:
-        if xi == 1:
-            base_len = l + 2 * M + 2
-            base = base_len * k if torus else 2 * base_len * k
-            memo[key] = base ** (l + 1)
-        else:
-            L = l + 2 * M
-            # the maximum over smaller complexity is surface-blind above xi = 1
-            # and the sphere dominates the torus at xi = 1
-            n_prime = max(_exact(c, L, k, M, False, memo) for c in range(1, xi))
-            memo[key] = (2 * n_prime) ** (l + 1)
-    return memo[key]
-
-
-def _log10(xi: int, l: int, k: int, M: int, torus: bool, memo: dict) -> Fraction:
-    key = (xi, l, torus)
-    if key not in memo:
-        if xi == 1:
-            base_len = l + 2 * M + 2
-            base = base_len * k if torus else 2 * base_len * k
-            memo[key] = (l + 1) * log10_upper(base)
-        else:
-            L = l + 2 * M
-            n_prime = max(_log10(c, L, k, M, False, memo) for c in range(1, xi))
-            memo[key] = (l + 1) * (_LOG10_2_UPPER + _SLACK + n_prime)
-    return memo[key]
+def _chain_log10(xi: int, l: int, k: int, M: int, torus: bool) -> Fraction:
+    """The log10 envelope of ``_chain_exact``, step by step."""
+    first, *rest = _levels(xi, l, M)
+    value = (first + 1) * log10_upper(_base(first, k, M, torus))
+    for L in rest:
+        value = (L + 1) * (_LOG10_2_UPPER + _SLACK + value)
+    return value
 
 
 def n_bound(
@@ -213,12 +203,12 @@ def n_bound(
         raise ValueError(f"unknown mode {mode!r}")
     xi = complexity(s)
     torus = s == TORUS_1_1
-    envelope = _n_log10(xi, p.l, p.k, p.M, torus)
+    envelope = _chain_log10(xi, p.l, p.k, p.M, torus)
     if mode == "log10":
         return BigBound(envelope)
     if mode == "auto" and envelope >= digit_cap:
         return BigBound(envelope)
-    return BigBound(envelope, _n_exact(xi, p.l, p.k, p.M, torus))
+    return BigBound(envelope, _chain_exact(xi, p.l, p.k, p.M, torus))
 
 
 def slice_bound_tight(s: Surface, M: int, **kw) -> tuple[BigBound, BigBound]:
@@ -243,5 +233,5 @@ def growth_upper(s: Surface, p: BoundParams) -> BigBound:
     """log10 of the closed-form envelope N_{S04}(xi*L, k)^((2*xi*L)^xi)."""
     xi = complexity(s)
     L = p.l + 2 * p.M
-    inner = _n_log10(1, xi * L, p.k, p.M, False)
+    inner = _chain_log10(1, xi * L, p.k, p.M, False)
     return BigBound((2 * xi * L) ** xi * inner)

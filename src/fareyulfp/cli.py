@@ -154,8 +154,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", required=True, type=_surface, help="g,n")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--slice", action="store_true", dest="slice_mode")
-    p.add_argument("--weak", type=int, default=None)
+    slice_forms = p.add_mutually_exclusive_group()
+    slice_forms.add_argument("--slice", action="store_true", dest="slice_mode")
+    slice_forms.add_argument("--weak", type=int, default=None)
 
     p = sub.add_parser("graph-ulfp", help="greedy dichotomy on a finite graph")
     p.add_argument("--graph", required=True)
@@ -309,3 +310,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:  # pragma: no cover
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

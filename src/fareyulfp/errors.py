@@ -7,12 +7,12 @@ from typing import Callable, Iterable, TypeVar
 _T = TypeVar("_T")
 
 
-class EmptyProjection(ValueError):
-    """A curve was projected to an annulus whose core it equals."""
-
-
 class PreconditionViolation(ValueError):
     """An operation was called outside its stated domain."""
+
+
+class EmptyProjection(PreconditionViolation):
+    """A curve was projected to an annulus whose core it equals."""
 
 
 class HypothesisViolation(PreconditionViolation):

@@ -68,6 +68,21 @@ class TestLog10Upper:
             gap = float(log10_upper(v)) - math.log10(v)
             assert 0 <= gap <= 1e-6, v
 
+    # the chain in ``bounds`` relies on this: the envelope must grow with l
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2**200), st.integers(0, 2**70))
+    @example(2**64 - 1, 1)  # last value read whole by math.log10
+    @example(2**64, 1)  # first value read from its leading 64 bits
+    @example(2**64 + 1, 1)
+    @example(2**53, 1)  # first int that a float does not hold exactly
+    @example(10**20 - 1, 1)
+    @example(10**20, 1)
+    @example(10**19 - 1, 2)
+    @example(10**100 - 1, 1)
+    @example(10**100, 1)
+    def test_nondecreasing(self, value, step):
+        assert log10_upper(value) <= log10_upper(value + step)
+
 
 class TestNBound:
     def test_hand_substituted_goldens(self):
@@ -232,21 +247,18 @@ class TestDecimalString:
 
 class TestCachesBounded:
     def test_distinct_l_loop_stays_bounded(self):
-        for l in range(1, 3 * bounds._CACHE_SIZE):
+        for l in range(1, 384):
             n_bound(TORUS_1_1, BoundParams(l, 2, 1))
-        for cache in (bounds._n_exact, bounds._n_log10):
-            assert cache.cache_info().currsize <= bounds._CACHE_SIZE
+        assert not [name for name, obj in vars(bounds).items() if hasattr(obj, "cache_info")]
 
     def test_recursion_evaluates_each_leaf_once(self, monkeypatch):
-        # N(xi, l) takes the maximum of N(c, l + 2M) over every c < xi, so the
-        # recursion revisits about xi^2 / 2 subproblems; evaluated afresh on
-        # each visit, the xi = 1 leaves alone would run into the millions
+        # the maximum over smaller complexity is always at xi - 1, so the
+        # recursion is a chain with a single xi = 1 leaf, at l' = 1 + 200 * 24
         leaves = []
         real = bounds.log10_upper
         monkeypatch.setattr(bounds, "log10_upper", lambda v: leaves.append(v) or real(v))
-        bounds._n_log10.cache_clear()
         n_bound(Surface(9, 1), BoundParams(1, 2, 100), mode="log10")  # xi = 25
-        assert len(leaves) == 24  # one per l' = 1 + 200j, j = 1..24
+        assert leaves == [(4801 + 200 + 2) * 2 * 2]  # the sphere base at l' = 4801
 
     @pytest.mark.parametrize(
         "s, p, mode",
@@ -254,6 +266,22 @@ class TestCachesBounded:
             (Surface(13, 1), BoundParams(1, 2, 100), "log10"),  # xi = 37
             (Surface(1, 3), BoundParams(1, 2, 1), "exact"),  # xi = 3
             (Surface(2, 1), BoundParams(1, 2, 1), "exact"),  # xi = 4
+        ]
+        + [
+            (s, BoundParams(l, k, M), mode)
+            for mode in ("log10", "exact")
+            for s in (TORUS_1_1, SPHERE_0_4)
+            for l, k, M in [(1, 2, 1), (5, 7, 2), (40, 3, 100)]
+        ]
+        + [
+            (s, BoundParams(l, k, M), "log10")
+            for s in (Surface(1, 2), Surface(0, 6), Surface(5, 3), Surface(14, 1))  # xi 2, 3, 15, 40
+            for l, k, M in [(1, 2, 1), (2, 3, 5), (40, 7, 100)]
+        ]
+        + [
+            (s, BoundParams(l, k, M), "exact")
+            for s in (Surface(1, 2), Surface(0, 6), Surface(2, 1), Surface(0, 9))  # xi 2, 3, 4, 6
+            for l, k, M in [(1, 2, 1), (2, 3, 1)]
         ],
     )
     def test_matches_unbounded_recursion(self, s, p, mode):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +156,12 @@ class TestExitCodes:
         code = run(["--M", "0", "dist", "1/0", "0/1"])
         assert code == 3
 
+    def test_annulus_core_projection_exits_three(self, capsys):
+        code = run(["project", "--core", "1/2", "1/2", "1/3"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.strip() == "error: 1/2 is the core of the annulus"
+
     def test_internal_check_failure_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr(farey, "_distance_normalized", lambda t: -1)
         farey._geodesics_normalized.cache_clear()
@@ -190,6 +199,11 @@ class TestExitCodes:
     def test_surface_below_complexity_one_exits_two(self, capsys):
         line = self.bad_argument(capsys, ["bounds", "--surface", "0,2", "--l", "1", "--k", "2"])
         assert "error:" in line and "0,2" in line
+
+    def test_slice_and_weak_together_exit_two(self, capsys):
+        argv = ["bounds", "--surface", "1,1", "--l", "1", "--k", "2", "--slice", "--weak", "200"]
+        line = self.bad_argument(capsys, argv)
+        assert "error:" in line and "--weak" in line and "--slice" in line
 
     def test_malformed_set_line_exits_two(self, capsys, tmp_path):
         curves = tmp_path / "curves.txt"
@@ -257,6 +271,25 @@ class TestDigitLimit:
         y = f"{7 * 10**3000 + 9}/{10**3000 + 11}"
         twist = invoke(capsys, ["project", "--core", core, y, "1/0"])["outputs"]["twist"]
         assert max(len(text) for text in twist.values()) > 12_000
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def module_run(*argv: str) -> subprocess.CompletedProcess:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        command = [sys.executable, "-m", "fareyulfp.cli", *argv]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+
+    def test_prints_the_report(self):
+        done = self.module_run("dist", "1/0", "3/8")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["outputs"]["distance"] == 3
+
+    def test_exits_two_through_main(self):
+        done = self.module_run("dist", "1/2/3", "0/1")
+        assert done.returncode == 2 and done.stdout == ""
+        assert "1/2/3" in done.stderr and "Traceback" not in done.stderr
 
 
 class TestEnvironment:
