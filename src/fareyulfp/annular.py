@@ -14,7 +14,7 @@ building the rational coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -28,18 +28,20 @@ TwistCoord = Fraction
 class Annulus:
     """Annular subsurface named by its core slope.
 
-    The normalizer is always the canonical Bezout map sending the core to
-    1/0, so twist coordinates are reproducible across runs.
+    Its normalizer is derived, never stored: the canonical Bezout map sending
+    the core to 1/0, so twist coordinates are reproducible across runs.
     """
 
     core: Slope
-    normalizer: MobiusMap = field(default=None)  # type: ignore[assignment]
+    given_normalizer: InitVar[MobiusMap | None] = None  # checked, not kept
 
-    def __post_init__(self) -> None:
-        if self.normalizer is None:
-            object.__setattr__(self, "normalizer", normalizer_to_infinity(self.core))
-        elif self.normalizer != normalizer_to_infinity(self.core):
+    def __post_init__(self, given_normalizer: MobiusMap | None) -> None:
+        if given_normalizer not in (None, self.normalizer):
             raise ValueError(f"non-canonical normalizer for core {self.core}")
+
+    @property
+    def normalizer(self) -> MobiusMap:
+        return normalizer_to_infinity(self.core)
 
     def __str__(self) -> str:
         return str(self.core)

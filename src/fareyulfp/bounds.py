@@ -179,12 +179,15 @@ def _chain_exact(xi: int, l: int, k: int, M: int, torus: bool) -> int:
 
 
 def _chain_log10(xi: int, l: int, k: int, M: int, torus: bool) -> Fraction:
-    """The log10 envelope of ``_chain_exact``, step by step."""
+    """The log10 envelope of ``_chain_exact``, in integer steps over one denominator."""
     first, *rest = _levels(xi, l, M)
-    value = (first + 1) * log10_upper(_base(first, k, M, torus))
+    start = (first + 1) * log10_upper(_base(first, k, M, torus))
+    step = _LOG10_2_UPPER + _SLACK
+    den = math.lcm(start.denominator, step.denominator)  # no gcd in the loop
+    value, add = (f.numerator * (den // f.denominator) for f in (start, step))
     for L in rest:
-        value = (L + 1) * (_LOG10_2_UPPER + _SLACK + value)
-    return value
+        value = (L + 1) * (add + value)
+    return Fraction(value, den)
 
 
 def n_bound(

@@ -228,20 +228,6 @@ def pivot_candidates(x: Slope, y: Slope) -> frozenset[Slope]:
     return frozenset(apply(ginv, v) for v in pivots)
 
 
-def common_neighbors(u: Slope, w: Slope) -> frozenset[Slope]:
-    """All slopes adjacent to both u and w; at most two exist."""
-    if u == w:
-        raise PreconditionViolation("common_neighbors requires distinct slopes")
-    g = normalizer_to_infinity(u)
-    ginv = g.inverse()
-    t = apply(g, w)
-    out = []
-    for num in (t.p - 1, t.p + 1):
-        if num % t.q == 0:
-            out.append(apply(ginv, Slope(num // t.q, 1)))
-    return frozenset(out)
-
-
 def _bfs(adjacency: dict[Slope, Iterable[Slope]], source: Slope) -> dict[Slope, int]:
     dist = {source: 0}
     frontier = [source]
@@ -398,9 +384,40 @@ def link_at_distance(x: Slope, target: Slope, d: int) -> frozenset[Slope]:
     )
 
 
+def _hull(adjacency: dict[Slope, Iterable[Slope]], t: Slope, d: int) -> frozenset[Slope]:
+    """Vertices v of the graph with d(1/0, v) + d(v, t) = d, read off two level maps."""
+    if INFINITY not in adjacency or t not in adjacency:
+        return frozenset()
+    up = _bfs(adjacency, t)
+    return frozenset(v for v, i in _bfs(adjacency, INFINITY).items() if i + up.get(v, d + 1) == d)
+
+
+@lru_cache(maxsize=1 << 13)
+def _hull_normalized(t: Slope) -> frozenset[Slope]:
+    """Vertices of the geodesics from 1/0 to t in the candidate closure."""
+    hull = _hull(_closure_adjacency(t), t, _distance_normalized(t))
+    if INFINITY not in hull:
+        raise InternalCheckFailure(f"candidate closure disagrees with strip distance for {t}")
+    return hull
+
+
 def geodesic_vertices(x: Slope, y: Slope) -> frozenset[Slope]:
-    """Union of the vertex sets of all enumerated geodesics."""
-    return frozenset(v for g in geodesics(x, y) for v in g.vertices)
+    """The v with d(x, v) + d(v, y) = d(x, y) in the closure; no path is enumerated."""
+    if x == y:
+        return frozenset({x})
+    g = normalizer_to_infinity(x)
+    return frozenset(apply(g.inverse(), v) for v in _hull_normalized(apply(g, y)))
+
+
+def geodesic_vertices_within(x: Slope, y: Slope, allowed: Iterable[Slope]) -> frozenset[Slope]:
+    """The vertices of the x -- y geodesics whose vertices all lie in ``allowed``."""
+    keep = geodesic_vertices(x, y).intersection(allowed)
+    if x == y:
+        return keep
+    g = normalizer_to_infinity(x)
+    t, chart = apply(g, y), {apply(g, v) for v in keep}
+    adjacency = {v: ws & chart for v, ws in _closure_adjacency(t).items() if v in chart}
+    return frozenset(apply(g.inverse(), v) for v in _hull(adjacency, t, _distance_normalized(t)))
 
 
 def random_neighbor(x: Slope, offset: int) -> Slope:

@@ -2,11 +2,11 @@
 
 A curve set A satisfies P(l, k, Z) when it holds no k curves whose
 projections to Z are pairwise more than l apart.  The subsurfaces worth
-checking are the whole surface plus the annuli around vertices of
-enumerated geodesics between members of A: a large annular gap forces the
-core onto every geodesic between the offending pair, so no witness can
-hide elsewhere.  That restriction is an oracle-tested hypothesis, not a
-theorem.
+checking are the whole surface plus the annuli around the geodesic hulls
+of member pairs, the vertices v with d(x, v) + d(v, y) = d(x, y): a large
+annular gap forces the core onto every geodesic between the offending
+pair, so no witness can hide elsewhere.  That restriction is an
+oracle-tested hypothesis, not a theorem.
 
 On an annulus every projection is one integer, the twist floor, and two
 distinct curves are more than l apart exactly when their floors differ by
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .annular import Annulus, annular_distance, projects, twist_floors
 from .errors import PreconditionViolation
-from .farey import Geodesic, Slope, SurfaceKind, distance, geodesics
+from .farey import Slope, SurfaceKind, distance, geodesic_vertices, geodesics
 
 MAX_CLIQUE_K = 8
 
@@ -63,7 +63,7 @@ def proj_distance(kind: SurfaceKind, Z: SubsurfaceRef, y: Slope, z: Slope) -> in
 def candidate_subsurfaces(
     kind: SurfaceKind, A: Iterable[Slope]
 ) -> tuple[SubsurfaceRef, ...]:
-    """The whole surface plus annuli around all geodesic vertices of A-pairs.
+    """The whole surface plus annuli around the geodesic hulls of A-pairs.
 
     Deterministic order: whole surface first, then cores sorted by
     denominator and numerator.
@@ -71,10 +71,7 @@ def candidate_subsurfaces(
     members = sorted(set(A))
     if len(members) < 2:
         raise PreconditionViolation("candidate_subsurfaces needs at least 2 curves")
-    cores: set[Slope] = set()
-    for x, y in combinations(members, 2):
-        for g in geodesics(x, y):
-            cores.update(g.vertices)
+    cores = set().union(*(geodesic_vertices(x, y) for x, y in combinations(members, 2)))
     ordered = sorted(cores, key=lambda s: (s.q, s.p))
     return (WHOLE,) + tuple(annular_ref(core) for core in ordered)
 

@@ -1,11 +1,12 @@
 """Geodesic slices and weak-tight indices on the genus-one curve graphs.
 
 On these surfaces every geodesic is tight, so the slice of a pair (a, b)
-near a point c is the set of enumerated-geodesic vertices within delta of
-c.  The weak-tight index of a geodesic is the largest min-side annular
-projection gap over its vertices; filtering by an index ceiling yields
-the weak-tight slices.  Radius slices over infinite balls are only ever
-reported as sampled lower bounds.
+near a point c is the part of the geodesic hull of (a, b) within delta of
+c.  The weak-tight index of a geodesic is the largest min-side annular gap
+of its vertices around the hull of its endpoints (a geodesic between two
+of its vertices splices into it), so weak-tight slices are hulls of the
+vertices with small gaps.  Radius slices over infinite balls are only
+ever reported as sampled lower bounds.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .farey import (
     SurfaceKind,
     distance,
     geodesic_vertices,
-    geodesics,
+    geodesic_vertices_within,
     random_neighbor,
 )
 from .projections import candidate_subsurfaces, min_side_gap
@@ -54,7 +55,7 @@ class WeakTightReport:
 def tight_slice(
     kind: SurfaceKind, a: Slope, b: Slope, c: Slope, delta: int
 ) -> frozenset[Slope]:
-    """Vertices of all geodesics between a and b within delta of c."""
+    """Vertices of the geodesics between a and b within delta of c."""
     if delta < 0:
         raise PreconditionViolation("delta must be nonnegative")
     return frozenset(
@@ -65,18 +66,14 @@ def tight_slice(
 def weak_tight_index(kind: SurfaceKind, g: Geodesic) -> WeakTightReport:
     """Smallest D such that g is D-weakly tight in the twist model.
 
-    Maximizes min(d(x, v), d(v, y)) over vertices v and candidate annuli;
-    finitely many annuli suffice because a larger gap would force the
-    core onto the geodesics between the endpoints.
+    Maximizes min(d(x, v), d(v, y)) over vertices v and the annuli around
+    the hull of the endpoints; finitely many annuli suffice because a
+    larger gap would force the core onto the geodesics between them.
     """
     x, y = g.start, g.end
     if g.length <= 2:
         raise PreconditionViolation("weak-tight index needs endpoint distance > 2")
-    annuli = [
-        Z.annulus
-        for Z in candidate_subsurfaces(kind, set(g.vertices))
-        if not Z.is_whole
-    ]
+    annuli = [Z.annulus for Z in candidate_subsurfaces(kind, (x, y)) if not Z.is_whole]
     best, attaining = min_side_gap(kind, x, y, g.vertices, annuli)
     return WeakTightReport(g, best, attaining)
 
@@ -87,11 +84,10 @@ def weak_tight_slice(
     """Slice through the geodesics whose weak-tight index is at most D."""
     if distance(a, b) <= 2:
         raise PreconditionViolation("weak-tight slices need endpoint distance > 2")
-    out = set()
-    for g in geodesics(a, b):
-        if weak_tight_index(kind, g).index <= D:
-            out.update(v for v in g.vertices if distance(v, c) <= delta)
-    return frozenset(out)
+    hull = geodesic_vertices(a, b)
+    annuli = [Annulus(v) for v in hull]
+    low = [v for v in hull if min_side_gap(kind, a, b, [v], annuli)[0] <= D]
+    return frozenset(v for v in geodesic_vertices_within(a, b, low) if distance(v, c) <= delta)
 
 
 @dataclass(frozen=True)

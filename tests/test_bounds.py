@@ -291,6 +291,29 @@ class TestCachesBounded:
         assert got == _reference(complexity(s), p.l, p.k, p.M, torus, mode == "exact")
 
 
+class TestChainLog10:
+    @pytest.mark.parametrize(
+        "s",
+        [TORUS_1_1, SPHERE_0_4]
+        + [Surface(0, xi + 3) for xi in (2, 3, 40, 898, 8998)]
+        + [Surface((xi + 2) // 3, xi + 3 - 3 * ((xi + 2) // 3)) for xi in (2, 3, 40, 898, 8998)],
+        ids=str,
+    )
+    def test_matches_fraction_steps(self, s):
+        # l, k, M of `ulfp bounds --surface g,n --l 1 --k 2` at the default M
+        xi, torus = complexity(s), s == TORUS_1_1
+        assert bounds._chain_log10(xi, 1, 2, 100, torus) == _fraction_steps(xi, 1, 2, 100, torus)
+
+
+def _fraction_steps(xi: int, l: int, k: int, M: int, torus: bool) -> Fraction:
+    """The log10 chain with every step a ``Fraction`` sum, normalized as it goes."""
+    first, *rest = range(l + 2 * M * (xi - 1), l - 1, -2 * M)
+    value = (first + 1) * log10_upper((first + 2 * M + 2) * k * (1 if torus else 2))
+    for L in rest:
+        value = (L + 1) * (bounds._LOG10_2_UPPER + bounds._SLACK + value)
+    return value
+
+
 def _reference(xi: int, l: int, k: int, M: int, torus: bool, exact: bool):
     """N_S(l, k) or its log10 envelope by the recursion, memoised in a plain dict."""
     memo = {}

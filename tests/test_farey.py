@@ -22,7 +22,6 @@ from fareyulfp.farey import (
     adjacent,
     apply,
     canonical,
-    common_neighbors,
     dehn_twist,
     det,
     distance,
@@ -65,6 +64,20 @@ big_quotients = st.lists(st.integers(1, 10**3), max_size=3).filter(
 )
 partial_quotients = small_quotient_runs | big_quotients
 integer_parts = st.integers(-3, 3) | st.integers(-(10**40), 10**40)
+
+
+def common_neighbors(u: Slope, w: Slope) -> frozenset[Slope]:
+    """All slopes adjacent to both u and w; at most two exist."""
+    if u == w:
+        raise PreconditionViolation("common_neighbors requires distinct slopes")
+    g = normalizer_to_infinity(u)
+    ginv = g.inverse()
+    t = apply(g, w)
+    out = []
+    for num in (t.p - 1, t.p + 1):
+        if num % t.q == 0:
+            out.append(apply(ginv, Slope(num // t.q, 1)))
+    return frozenset(out)
 
 
 def closure_by_determinant_scan(t: Slope) -> dict[Slope, set[Slope]]:
@@ -257,6 +270,15 @@ class TestGeodesics:
         # Both geodesics from 1/0 to 1/2 pass through 0/1 or 1/1.
         verts = geodesic_vertices(INFINITY, Slope(1, 2))
         assert verts == {INFINITY, Slope(0, 1), Slope(1, 1), Slope(1, 2)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_parts, partial_quotients, st.integers(0, 2**32))
+    def test_vertices_are_the_union_of_the_geodesics(self, a0, terms, seed):
+        # at most 16 terms keeps the enumeration small: [2] * 16 has F(18) geodesics
+        m = random_mobius(random.Random(seed))
+        x, y = apply(m, INFINITY), apply(m, from_terms(a0, terms[:16]))
+        union = {v for g in geodesics(x, y) for v in g.vertices}
+        assert geodesic_vertices(x, y) == union
 
     @given(slopes(), slopes())
     def test_geodesics_have_common_endpoints_and_length(self, x, y):

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import json
+from itertools import combinations
+
 import pytest
 
 from corpus import far_pair_corpus
+from fareyulfp import farey
+from fareyulfp.cli import run
 from fareyulfp.errors import HypothesisViolation, PreconditionViolation
 from fareyulfp.farey import Geodesic, INFINITY, Slope, SurfaceKind, distance, geodesic_vertices, geodesics
+from fareyulfp.projections import candidate_subsurfaces
 from fareyulfp.slices import (
     SliceQuery,
     radius_slice_sample,
@@ -65,6 +71,18 @@ class TestWeakTightIndex:
         assert report.index == 3
         vertex, annulus = report.attaining
         assert annulus.core == Slope(1, 3)
+
+    def test_vertex_pair_hulls_lie_in_the_endpoint_hull(self):
+        # a u -- w geodesic between vertices of an x -- y geodesic splices
+        # into it, so the vertex pairs of g add no annulus to the endpoints'
+        seen = 0
+        for x, y in far_pair_corpus(14, 200, 1, 6):
+            hull = geodesic_vertices(x, y)
+            for g in geodesics(x, y):
+                pairs = combinations(g.vertices, 2)
+                assert set().union(*(geodesic_vertices(u, w) for u, w in pairs)) == hull
+                seen += 1
+        assert seen > 400
 
     def test_index_bounded_on_corpus(self):
         for kind in SurfaceKind:
@@ -177,3 +195,50 @@ class TestVerifySliceBounds:
         assert not result.exact
         assert result.bound.exact is not None
         assert len(result.members) <= result.bound.exact
+
+
+def test_vertex_sets_are_read_without_enumerating_paths(monkeypatch, capsys, tmp_path):
+    a, b = far_pair_corpus(12, 1, 4, 6)[0]
+    c = sorted(geodesic_vertices(a, b))[1]
+    g = min(geodesics(a, b))
+    curves = tmp_path / "curves.txt"
+    curves.write_text(f"{a}\n{b}\n{c}\n")
+    slopes = ["--", str(a), str(b), str(c)]  # "--": a slope may be negative
+    commands = [
+        ["ulfp", "--set", str(curves), "--l", "2", "--k", "2"],
+        ["--M", "1", "slice", "--delta", "2", *slopes],
+        ["--M", "1", "slice", "--delta", "2", "--weak-D", "3", *slopes],
+        ["weak-index", f"--geodesic={g}"],
+    ]
+
+    def answers():
+        farey._hull_normalized.cache_clear()
+        query = SliceQuery(a, b, c, 2)
+        values = [
+            candidate_subsurfaces(TORUS, (a, b, c)),
+            tight_slice(TORUS, a, b, c, 2),
+            weak_tight_index(TORUS, g),
+            weak_tight_slice(TORUS, a, b, c, 2, 3),
+            verify_slice_bounds(TORUS, query, M=1).to_json(),
+            verify_slice_bounds(TORUS, query, M=1, D=3).to_json(),
+        ]
+        for argv in commands:
+            assert run(argv) == 0
+            values.append(json.loads(capsys.readouterr().out)["outputs"])
+        return values
+
+    expected = answers()
+
+    def refuse(t):
+        raise AssertionError(f"enumerated the geodesics from 1/0 to {t}")
+
+    monkeypatch.setattr(farey, "_geodesics_normalized", refuse)
+    assert answers() == expected
+
+
+def test_hull_keeps_the_closure_check(monkeypatch, capsys):
+    monkeypatch.setattr(farey, "_distance_normalized", lambda t: -1)
+    farey._hull_normalized.cache_clear()
+    assert run(["slice", "--delta", "1", "1/0", "2/5", "0/1"]) == 4
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("error: internal check failed:") and "2/5" in line

@@ -10,13 +10,13 @@ of distinct curves is far), k up to 8, and members equal to the core.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from corpus import far_pair_corpus, random_slope
+from corpus import continued_fraction_slope, far_pair_corpus, random_mobius, random_slope
 from fareyulfp.annular import Annulus, annular_distance, twist_coord, twist_floors
-from fareyulfp.farey import INFINITY, Slope, SurfaceKind, dehn_twist, distance, geodesics
+from fareyulfp.farey import INFINITY, Slope, SurfaceKind, apply, dehn_twist, distance, geodesics
 from fareyulfp.projections import (
     WHOLE,
     SubsurfaceRef,
@@ -26,7 +26,7 @@ from fareyulfp.projections import (
     check_P_all,
     ulfp_witness,
 )
-from fareyulfp.slices import weak_tight_index
+from fareyulfp.slices import weak_tight_index, weak_tight_slice
 
 KINDS = list(SurfaceKind)
 
@@ -200,3 +200,35 @@ def test_weak_tight_index_matches_pairwise_reference(kind):
             assert report.index == value
             expected = None if at is None else (at[0], Annulus(at[1]))
             assert report.attaining == expected
+
+
+def test_weak_tight_slice_matches_per_geodesic_reference():
+    # On the sphere these targets have geodesics of different weak-tight
+    # index, so some ceilings keep only part of the geodesics.
+    rng = random.Random(16)
+    mixed = [[1, 3, 2], [1, 3, 1, 1], [1, 1, 2, 6], [1, 1, 2, 4, 1, 2], [1, 3, 1, 2, 2, 3]]
+    pairs = far_pair_corpus(16, 20) + [
+        (apply(m, INFINITY), apply(m, continued_fraction_slope(terms)))
+        for terms in mixed
+        for m in [random_mobius(rng)]
+    ]
+    queries, partial = 0, 0
+    for kind in KINDS:
+        for a, b in pairs:
+            indexed = []  # (index, vertices) per geodesic, annuli from its vertex pairs
+            for g in geodesics(a, b):
+                cores = ref_cores(combinations(sorted(set(g.vertices)), 2))
+                indexed.append((ref_min_side(kind, a, b, g.vertices, cores)[0], g.vertices))
+            indices = [index for index, _ in indexed]
+            hull = sorted({v for _, vertices in indexed for v in vertices})
+            for c, delta in product(hull, range(3)):
+                for D in range(min(indices) - 1, max(indices) + 1):
+                    expected = {
+                        v for index, vertices in indexed if index <= D
+                        for v in vertices if distance(v, c) <= delta
+                    }
+                    got = weak_tight_slice(kind, a, b, c, delta, D)
+                    assert got == expected, (kind, str(a), str(b), str(c), delta, D)
+                    queries += 1
+                    partial += min(indices) <= D < max(indices)
+    assert queries > 1500 and partial > 30
