@@ -5,7 +5,8 @@ Exit status: 0 on success, 2 on argument errors (malformed slopes,
 geodesics or surfaces, unreadable or malformed input files, the latter
 named as "file:line" where a line is at fault), 3 when a precondition or
 theorem hypothesis is violated (the message names it), 4 when an internal
-self-check fails (a defect, not bad input).
+self-check fails (a defect, not bad input), and 1 when the reader of
+stdout closes it before the report is written, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -309,7 +310,12 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:  # pragma: no cover
-    sys.exit(run(sys.argv[1:]))
+    try:
+        sys.exit(run(sys.argv[1:]))
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        # point stdout at devnull so the flush at exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .annular import Annulus, annular_distance, projects, twist_floors
 from .errors import PreconditionViolation
-from .farey import Slope, SurfaceKind, distance, geodesic_vertices, geodesics
+from .farey import Slope, SurfaceKind, adjacent, distance, geodesic_vertices
 
 MAX_CLIQUE_K = 8
 
@@ -278,6 +278,8 @@ def lemma_co_construct(
 
     Every b in B must sit at distance exactly i > 1 from x; the geodesic
     used is the lexicographically least one, so certificates reproduce.
+    Its second vertex is the least neighbour of x in the hull of (x, b),
+    since every such neighbour starts a geodesic to b.
     """
     if i <= 1:
         raise PreconditionViolation("i must exceed 1")
@@ -285,8 +287,7 @@ def lemma_co_construct(
     for b in sorted(set(B)):
         if distance(x, b) != i:
             raise PreconditionViolation(f"{b} is not at distance {i} from {x}")
-        chosen = min(geodesics(x, b))
-        out.add(chosen.vertices[1])
+        out.add(min(v for v in geodesic_vertices(x, b) if adjacent(x, v)))
     return frozenset(out)
 
 
@@ -320,56 +321,59 @@ def bgit_audit(
 ) -> BgitAudit:
     """Empirical bounded-geodesic-image constant over a pair corpus.
 
-    For each pair at distance > 2, every interior vertex of every
-    enumerated geodesic is measured against both endpoints in every
-    candidate annulus; the audit records the largest min-side value seen.
-    Pairs at distance <= 2 are skipped and counted.
+    For each pair at distance > 2, every interior vertex of the geodesic
+    hull is measured against both endpoints in every annulus around the
+    hull (``vertex_gaps``); the audit records the largest min-side value
+    seen.  Its attaining vertex is the first maximum with vertices nearest
+    x first, then in slope order, and its core the first annulus reaching
+    that maximum.  Pairs at distance <= 2 are skipped and counted.
     """
-    best = 0
-    attaining = None
+    best, attaining = 0, None
     audited = skipped = 0
     for x, y in pair_corpus:
         if distance(x, y) <= 2:
             skipped += 1
             continue
         audited += 1
-        annuli = [Z.annulus for Z in candidate_subsurfaces(kind, (x, y)) if not Z.is_whole]
-        interior = dict.fromkeys(v for g in geodesics(x, y) for v in g.vertices[1:-1])
-        value, at = min_side_gap(kind, x, y, interior, annuli)
+        gaps = vertex_gaps(kind, x, y)
+        value, at = first_max_gap(gaps, (v for v in gaps if v not in (x, y)))
         if value > best:
-            best = value
-            attaining = (x, y, at[0], at[1].core)
+            best, attaining = value, (x, y, at[0], at[1].core)
     return BgitAudit(best, attaining, audited, skipped)
 
 
-def min_side_gap(
-    kind: SurfaceKind,
-    x: Slope,
-    y: Slope,
-    vertices: Iterable[Slope],
-    annuli: Sequence[Annulus],
-) -> tuple[int, Optional[tuple[Slope, Annulus]]]:
-    """Largest min(d_Z(x, v), d_Z(v, y)) over the vertices v and annuli Z.
+Gaps = dict[Slope, tuple[int, Optional[Annulus]]]
 
-    A vertex equal to the core of Z is skipped, and an endpoint equal to
-    the core drops out of the minimum.  The scan runs over vertices, then
-    annuli, and reports the first (v, Z) reaching the maximum; the value
-    is 0 with no attaining pair when nothing exceeds 0.
+
+def vertex_gaps(kind: SurfaceKind, x: Slope, y: Slope) -> Gaps:
+    """Min-side gap of every vertex v of the geodesic hull of (x, y).
+
+    The gap of v is its largest min(d_Z(x, v), d_Z(v, y)) over the annuli Z
+    around the hull, in core order (denominator, numerator), with the first
+    annulus reaching it; (0, None) when nothing exceeds 0.  A vertex equal
+    to the core of Z skips Z, and an endpoint equal to the core drops out
+    of the minimum.  Keys run nearest x first, then in slope order.
     """
-    vertices = list(vertices)
-    sides = []
-    for Z in annuli:
-        floors = twist_floors(kind, Z, [x, y, *vertices])
-        sides.append((Z, floors, [end for end in (x, y) if end in floors]))
-    best = 0
-    attaining: Optional[tuple[Slope, Annulus]] = None
+    hull = geodesic_vertices(x, y)
+    gaps = dict.fromkeys(sorted(hull, key=lambda v: (distance(x, v), v)), (0, None))
+    for core in sorted(hull, key=lambda s: (s.q, s.p)):
+        Z = Annulus(core)
+        floors = twist_floors(kind, Z, gaps)
+        ends = [(end, floors[end]) for end in (x, y) if end != core]
+        for v, f in floors.items():
+            value = min(1 if end == v else abs(e - f) + 2 for end, e in ends)
+            if value > gaps[v][0]:
+                gaps[v] = (value, Z)
+    return gaps
+
+
+def first_max_gap(
+    gaps: Gaps, vertices: Iterable[Slope]
+) -> tuple[int, Optional[tuple[Slope, Annulus]]]:
+    """The largest gap among ``vertices`` and the first (v, Z) reaching it."""
+    best, attaining = 0, None
     for v in vertices:
-        for Z, floors, ends in sides:
-            if v not in floors:
-                continue
-            f = floors[v]
-            value = min(1 if end == v else abs(floors[end] - f) + 2 for end in ends)
-            if value > best:
-                best = value
-                attaining = (v, Z)
+        value, Z = gaps[v]
+        if value > best:
+            best, attaining = value, (v, Z)
     return best, attaining

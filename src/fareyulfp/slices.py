@@ -4,7 +4,9 @@ On these surfaces every geodesic is tight, so the slice of a pair (a, b)
 near a point c is the part of the geodesic hull of (a, b) within delta of
 c.  The weak-tight index of a geodesic is the largest min-side annular gap
 of its vertices around the hull of its endpoints (a geodesic between two
-of its vertices splices into it), so weak-tight slices are hulls of the
+of its vertices splices into it).  One table per pair, read off the hull
+(``projections.vertex_gaps``), gives every vertex its gap: the index is
+its first maximum along the path, and weak-tight slices are hulls of the
 vertices with small gaps.  Radius slices over infinite balls are only
 ever reported as sampled lower bounds.
 """
@@ -27,7 +29,7 @@ from .farey import (
     geodesic_vertices_within,
     random_neighbor,
 )
-from .projections import candidate_subsurfaces, min_side_gap
+from .projections import first_max_gap, vertex_gaps
 
 DEFAULT_DELTA_HYP = 17  # user-chosen hyperbolicity placeholder, see cli.Config
 
@@ -73,9 +75,7 @@ def weak_tight_index(kind: SurfaceKind, g: Geodesic) -> WeakTightReport:
     x, y = g.start, g.end
     if g.length <= 2:
         raise PreconditionViolation("weak-tight index needs endpoint distance > 2")
-    annuli = [Z.annulus for Z in candidate_subsurfaces(kind, (x, y)) if not Z.is_whole]
-    best, attaining = min_side_gap(kind, x, y, g.vertices, annuli)
-    return WeakTightReport(g, best, attaining)
+    return WeakTightReport(g, *first_max_gap(vertex_gaps(kind, x, y), g.vertices))
 
 
 def weak_tight_slice(
@@ -84,9 +84,7 @@ def weak_tight_slice(
     """Slice through the geodesics whose weak-tight index is at most D."""
     if distance(a, b) <= 2:
         raise PreconditionViolation("weak-tight slices need endpoint distance > 2")
-    hull = geodesic_vertices(a, b)
-    annuli = [Annulus(v) for v in hull]
-    low = [v for v in hull if min_side_gap(kind, a, b, [v], annuli)[0] <= D]
+    low = [v for v, (gap, _) in vertex_gaps(kind, a, b).items() if gap <= D]
     return frozenset(v for v in geodesic_vertices_within(a, b, low) if distance(v, c) <= delta)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import BGIT_CORPUS_SEED, M_EMP, far_pair_corpus
+from corpus import BGIT_CORPUS_SEED, M_EMP, continued_fraction_slope, far_pair_corpus
 import fareyulfp
 from fareyulfp import farey
 from fareyulfp.bounds import BoundParams, Surface, n_bound
@@ -290,6 +290,20 @@ class TestModuleEntryPoint:
         done = self.module_run("dist", "1/2/3", "0/1")
         assert done.returncode == 2 and done.stdout == ""
         assert "1/2/3" in done.stderr and "Traceback" not in done.stderr
+
+    def test_closed_pipe_exits_one_without_traceback(self):
+        # the 131 KB report overfills the pipe, so a write meets the closed end
+        target = continued_fraction_slope([2] * 14)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        command = [sys.executable, "-m", "fareyulfp.cli", "geod", "1/0", str(target)]
+        with subprocess.Popen(
+            command, env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1 and b"Traceback" not in err, err
 
 
 class TestEnvironment:

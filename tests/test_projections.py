@@ -9,10 +9,18 @@ from itertools import combinations
 import pytest
 
 from conftest import slopes_with_denominator_up_to
-from corpus import BGIT_CORPUS_SEED, M_EMP, M_EMP_ATTAINING_VERTEX, far_pair_corpus, random_slope
+from corpus import (
+    BGIT_CORPUS_SEED,
+    M_EMP,
+    M_EMP_ATTAINING_VERTEX,
+    continued_fraction_slope,
+    far_pair_corpus,
+    random_mobius,
+    random_slope,
+)
 from fareyulfp.annular import Annulus, annular_distance
 from fareyulfp.errors import PreconditionViolation
-from fareyulfp.farey import INFINITY, Slope, SurfaceKind, distance, geodesics
+from fareyulfp.farey import INFINITY, Slope, SurfaceKind, apply, distance, geodesics
 from fareyulfp.projections import (
     PropertyPReport,
     WHOLE,
@@ -202,6 +210,29 @@ class TestLemmaCo:
         assert out
         for v in out:
             assert distance(x, v) == 1
+
+    def test_picks_the_second_vertex_of_the_least_geodesic(self):
+        rng = random.Random(47)
+        groups = defaultdict(list)  # (x, distance) -> targets
+        for _ in range(12):
+            m = random_mobius(rng)
+            for _ in range(8):
+                terms = [rng.randint(1, 4) for _ in range(rng.randint(1, 9))]
+                x, b = apply(m, INFINITY), apply(m, continued_fraction_slope(terms))
+                groups[x, distance(x, b)].append(b)
+        for n in range(1, 17):
+            b = continued_fraction_slope([2] * n)
+            groups[INFINITY, distance(INFINITY, b)].append(b)
+        checked = 0
+        for (x, d), B in groups.items():
+            if d <= 1:
+                continue
+            second = {b: min(geodesics(x, b)).vertices[1] for b in B}
+            for b, v in second.items():
+                assert lemma_co_construct(TORUS, x, [b], d) == {v}, (str(x), str(b))
+            assert lemma_co_construct(SPHERE, x, B, d) == set(second.values())
+            checked += len(B)
+        assert checked > 100 and len(groups) > 60
 
     def test_projection_shift_is_bounded(self):
         # moving B one step toward x moves annular projections by at most

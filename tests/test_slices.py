@@ -12,7 +12,7 @@ from fareyulfp import farey
 from fareyulfp.cli import run
 from fareyulfp.errors import HypothesisViolation, PreconditionViolation
 from fareyulfp.farey import Geodesic, INFINITY, Slope, SurfaceKind, distance, geodesic_vertices, geodesics
-from fareyulfp.projections import candidate_subsurfaces
+from fareyulfp.projections import bgit_audit, candidate_subsurfaces, lemma_co_construct
 from fareyulfp.slices import (
     SliceQuery,
     radius_slice_sample,
@@ -203,12 +203,15 @@ def test_vertex_sets_are_read_without_enumerating_paths(monkeypatch, capsys, tmp
     g = min(geodesics(a, b))
     curves = tmp_path / "curves.txt"
     curves.write_text(f"{a}\n{b}\n{c}\n")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"{a} {b}\n{a} {c}\n{c} {b}\n")
     slopes = ["--", str(a), str(b), str(c)]  # "--": a slope may be negative
     commands = [
         ["ulfp", "--set", str(curves), "--l", "2", "--k", "2"],
         ["--M", "1", "slice", "--delta", "2", *slopes],
         ["--M", "1", "slice", "--delta", "2", "--weak-D", "3", *slopes],
         ["weak-index", f"--geodesic={g}"],
+        ["audit-bgit", "--pairs", str(pairs)],
     ]
 
     def answers():
@@ -221,6 +224,8 @@ def test_vertex_sets_are_read_without_enumerating_paths(monkeypatch, capsys, tmp
             weak_tight_slice(TORUS, a, b, c, 2, 3),
             verify_slice_bounds(TORUS, query, M=1).to_json(),
             verify_slice_bounds(TORUS, query, M=1, D=3).to_json(),
+            bgit_audit(TORUS, [(a, b), (c, b)]),
+            lemma_co_construct(TORUS, a, [b], distance(a, b)),
         ]
         for argv in commands:
             assert run(argv) == 0

@@ -177,8 +177,8 @@ def test_bgit_audit_matches_pairwise_reference(kind):
         if distance(x, y) <= 2:
             skipped += 1
             continue
-        paths = geodesics(x, y)
-        vertices = [v for g in paths for v in g.vertices[1:-1]]
+        interior = {v for g in geodesics(x, y) for v in g.vertices[1:-1]}
+        vertices = sorted(interior, key=lambda v: (distance(x, v), v))
         value, at = ref_min_side(kind, x, y, vertices, ref_cores([sorted((x, y))]))
         single = bgit_audit(kind, [(x, y)])
         assert single.value == value
