@@ -10,6 +10,7 @@ a hard failure, never silently resolved.
 from __future__ import annotations
 
 import math
+from array import array
 
 from .farey import INFINITY, Slope
 
@@ -29,7 +30,7 @@ class BoxGraph:
         self.vertices = vertices
         self.index = {v: i for i, v in enumerate(vertices)}
         self._adjacency = [self._solve_neighbors(v) for v in vertices]
-        self._dist_cache: dict[int, list[int]] = {}
+        self._dist_cache: dict[int, array] = {}
 
     def _solve_neighbors(self, v: Slope) -> list[int]:
         """All box slopes w with |det(v, w)| = 1, by the Bezout line."""
@@ -59,13 +60,18 @@ class BoxGraph:
     def neighbors(self, v: Slope) -> list[Slope]:
         return [self.vertices[i] for i in self._adjacency[self.index[v]]]
 
-    def distance_map(self, source: Slope) -> list[int]:
-        """BFS distances from source to every box vertex (-1 if unreached)."""
+    def distance_map(self, source: Slope) -> array:
+        """BFS distances from source to every box vertex (-1 if unreached).
+
+        One signed byte per vertex: box diameters are far below 127, and a
+        larger distance raises OverflowError rather than wrap.
+        """
         src = self.index[source]
         cached = self._dist_cache.get(src)
         if cached is not None:
             return cached
-        dist = [-1] * len(self.vertices)
+        # searched as a list, which indexes faster; 255 is -1 as a signed byte
+        dist = [255] * len(self.vertices)
         dist[src] = 0
         frontier = [src]
         adjacency = self._adjacency
@@ -75,12 +81,14 @@ class BoxGraph:
             nxt = []
             for i in frontier:
                 for j in adjacency[i]:
-                    if dist[j] < 0:
+                    if dist[j] == 255:
                         dist[j] = level
                         nxt.append(j)
             frontier = nxt
-        self._dist_cache[src] = dist
-        return dist
+        if level > 128:  # the last level reached is level - 1
+            raise OverflowError(f"box distance {level - 1} does not fit in a signed byte")
+        compact = self._dist_cache[src] = array("b", bytearray(dist))
+        return compact
 
     def distance(self, x: Slope, y: Slope) -> int:
         d = self.distance_map(y)[self.index[x]]
@@ -111,4 +119,5 @@ class BoxGraph:
                     prefix.pop()
 
         descend(start, [x])
+        del descend  # the closure refers to itself; clearing it frees the walk now
         return paths

@@ -7,6 +7,15 @@ the Farey-tessellation triangles crossed by the hyperbolic line between
 the endpoints; the companion :mod:`fareyulfp.boxgraph` oracle is used by
 the test suite to certify that this restriction loses nothing.
 
+Distance runs on plain integers, one Euclidean step per partial quotient
+of the normalized target.  The strip's vertices appear in Stern-Brocot
+order, and each new mediant is adjacent to exactly two earlier ones, the
+bracketing pair lo, hi.  That pair separates it and everything after it
+from 1/0, so its strip distance is 1 + min(d(lo), d(hi)); a run of
+mediants on one side has the closed form in :func:`_distance_normalized`.
+Geodesics and the hull cost time linear in the walk, the sum of the
+partial quotients, and check their closure distance against this one.
+
 Geodesics are searched in the candidate closure: the pivot strip (the
 crossed triangles, whose edges the Stern-Brocot walk lists) plus the third
 vertex of each triangle on a strip edge.  An edge u -- w bounds exactly two
@@ -242,26 +251,42 @@ def _bfs(adjacency: dict[Slope, Iterable[Slope]], source: Slope) -> dict[Slope, 
     return dist
 
 
-@lru_cache(maxsize=1 << 17)
 def _distance_normalized(t: Slope) -> int:
-    """Distance from 1/0 to t along the pivot strip."""
-    pivots, edges = _normalized_walk(t)
-    adjacency: dict[Slope, list[Slope]] = {v: [] for v in pivots}
-    for u, w in edges:
-        adjacency[u].append(w)
-        adjacency[w].append(u)
-    dist = _bfs(adjacency, INFINITY)
-    if t not in dist:
-        raise InternalCheckFailure(f"pivot strip failed to connect 1/0 to {t}")
-    return dist[t]
+    """Distance from 1/0 to t along the pivot strip, one step per partial quotient.
+
+    t = above*lo + below*hi for its bracketing Farey neighbours lo < t < hi,
+    which start as floor(t) and floor(t) + 1, at distance 1.  While
+    above > below the next k mediants replace hi; a run whose fixed end has
+    distance A and whose moving end starts at x0 ends at min(x0 + k, A + 1),
+    because adjacent vertices differ in distance by at most 1.  Symmetrically
+    for lo; at above = below the next mediant is t.
+    """
+    p, q = t.p, t.q
+    if q == 1:
+        return 1
+    below = p % q
+    above = q - below
+    d_lo = d_hi = 1
+    while above != below:
+        if above > below:
+            k = (above - 1) // below
+            above -= k * below
+            d_hi = min(d_hi + k, d_lo + 1)
+        else:
+            k = (below - 1) // above
+            below -= k * above
+            d_lo = min(d_lo + k, d_hi + 1)
+    return 1 + min(d_lo, d_hi)
 
 
 def distance(x: Slope, y: Slope) -> int:
-    """Curve-graph distance, computed inside the pivot candidate set.
+    """Curve-graph distance, computed along the pivot strip.
 
     The locally infinite graph is searched only along the tessellation
-    strip between the endpoints; the test suite certifies agreement with
-    an exhaustive breadth-first oracle on denominator boxes.
+    strip between the endpoints, in time linear in the number of
+    continued-fraction terms of the normalized target; the test suite
+    certifies agreement with an exhaustive breadth-first oracle on
+    denominator boxes.
     """
     if x == y:
         return 0
@@ -351,6 +376,7 @@ def _geodesics_normalized(t: Slope) -> tuple[tuple[Slope, ...], ...]:
                 prefix.pop()
 
     descend(INFINITY, [INFINITY])
+    del descend  # the closure refers to itself; clearing it frees the graph now
     return tuple(sorted(paths))
 
 

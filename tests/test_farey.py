@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import random_mobius, random_slope
 from conftest import slopes_with_denominator_up_to
+from fareyulfp import farey
+from fareyulfp.boxgraph import BoxGraph
 from fareyulfp.errors import PreconditionViolation
 from fareyulfp.farey import (
     INFINITY,
@@ -35,6 +38,7 @@ from fareyulfp.farey import (
     pivot_candidates,
     random_neighbor,
     _closure_adjacency,
+    _distance_normalized,
     _normalized_walk,
 )
 
@@ -92,6 +96,26 @@ def closure_by_determinant_scan(t: Slope) -> dict[Slope, set[Slope]]:
             adjacency[u].add(w)
             adjacency[w].add(u)
     return adjacency
+
+
+def strip_distance(t: Slope) -> int:
+    """Reference: breadth-first search of the pivot strip from 1/0 to t."""
+    pivots, edges = _normalized_walk(t)
+    adjacency: dict[Slope, list[Slope]] = {v: [] for v in pivots}
+    for u, w in edges:
+        adjacency[u].append(w)
+        adjacency[w].append(u)
+    dist = {INFINITY: 0}
+    frontier = [INFINITY]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adjacency[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist[t]
 
 
 def fibonacci(n: int) -> int:
@@ -246,6 +270,75 @@ class TestDistance:
     def test_mobius_invariance(self, x, y, seed):
         m = random_mobius(random.Random(seed))
         assert distance(x, y) == distance(apply(m, x), apply(m, y))
+
+    # runs of more than two mediants, where the A + 1 cap binds, on both sides
+    @example(0, [3, 3], 0)
+    @example(-2, [6, 1, 7, 2], 1)
+    @example(5, [2, 9, 9, 9, 1, 3], 2)
+    @example(0, [50, 2, 50], 3)
+    @settings(max_examples=300, deadline=None)
+    @given(integer_parts, partial_quotients, st.integers(0, 2**32))
+    def test_euclid_steps_equal_the_strip_search(self, a0, terms, seed):
+        t = from_terms(a0, terms)
+        expected = strip_distance(t)
+        assert _distance_normalized(t) == expected
+        m = random_mobius(random.Random(seed))
+        assert distance(apply(m, INFINITY), apply(m, t)) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 10**6, 10**30])
+    def test_reciprocals_are_at_distance_two(self, n):
+        assert distance(INFINITY, Slope(1, n)) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 200])
+    def test_twos_are_at_distance_n_plus_one(self, n):
+        assert distance(INFINITY, from_terms(0, [2] * n)) == n + 1
+
+    def test_one_huge_quotient_is_at_distance_two(self):
+        for k in range(1, 31):
+            assert distance(INFINITY, Slope(10**k + 1, 10**k)) == 2, k
+
+    def test_distance_does_not_walk_the_strip(self, monkeypatch):
+        pairs = [(INFINITY, Slope(5, 12)), (Slope(3, 7), Slope(-5, 2)), (Slope(1, 2), Slope(7, 9))]
+        expected = [strip_distance(apply(normalizer_to_infinity(x), y)) for x, y in pairs]
+
+        def refuse(t):
+            raise AssertionError("distance walked the strip")
+
+        monkeypatch.setattr(farey, "_normalized_walk", refuse)
+        assert [distance(x, y) for x, y in pairs] == expected
+        assert distance(INFINITY, Slope(10**30 + 1, 10**30)) == 2
+
+    def test_queries_leave_no_cyclic_garbage(self):
+        box = BoxGraph(8)
+        gc.collect()
+        gc.disable()
+        try:
+            for t in (Slope(37, 96), Slope(-41, 107), Slope(53, 137)):
+                distance(INFINITY, t)
+                geodesics(INFINITY, t)
+                geodesic_vertices(Slope(1, 3), t)
+            box.geodesics(Slope(-2, 5), Slope(3, 8))
+            box.geodesics(Slope(5, 7), Slope(-1, 6))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_box_maps_are_signed_bytes_that_never_wrap(self):
+        box = BoxGraph(12)
+        to_half = box.distance_map(Slope(1, 2))
+        assert to_half.typecode == "b" and min(to_half) == 0
+        assert to_half[box.index[Slope(5, 8)]] == distance(Slope(5, 8), Slope(1, 2))
+
+        def as_path(graph: BoxGraph, length: int) -> BoxGraph:
+            # vertex 0 (1/0) reaches level i at vertex i; the rest is unreached
+            n = len(graph.vertices)
+            graph._adjacency = [[j for j in (i - 1, i + 1) if 0 <= j < length] for i in range(n)]
+            return graph
+
+        fits = as_path(BoxGraph(12), 128).distance_map(INFINITY)
+        assert fits[127] == 127 and fits[128] == -1
+        with pytest.raises(OverflowError):
+            as_path(BoxGraph(12), 129).distance_map(INFINITY)
 
 
 class TestGeodesics:
