@@ -28,11 +28,15 @@ from .farey import (
     SurfaceKind,
     dehn_twist,
     distance,
-    geodesics,
+    geodesic_listing,
     half_twist,
     parse_slope_file,
 )
 from .annular import Annulus, annular_distance, twist_coord
+
+# `geod` reports the exact count but lists at most this many geodesics, the
+# least in sorted order, and marks a longer list "truncated"
+GEOD_LIST_CAP = 10_000
 
 
 class InputFileError(Exception):
@@ -116,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", type=_slope)
     p.add_argument("y", type=_slope)
 
-    p = sub.add_parser("geod", help="enumerate geodesics between two slopes")
+    p = sub.add_parser("geod", help="count geodesics between two slopes and list the least")
     p.add_argument("x", type=_slope)
     p.add_argument("y", type=_slope)
 
@@ -186,8 +190,11 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
     if cmd == "dist":
         return {"distance": distance(args.x, args.y)}
     if cmd == "geod":
-        found = sorted(geodesics(args.x, args.y))
-        return {"count": len(found), "geodesics": [str(g) for g in found]}
+        count, listed = geodesic_listing(args.x, args.y, GEOD_LIST_CAP)
+        record = {"count": count, "geodesics": [str(g) for g in listed]}
+        if count > GEOD_LIST_CAP:
+            record["truncated"] = True
+        return record
     if cmd == "twist":
         x, y = args.x, args.y
         if args.half:

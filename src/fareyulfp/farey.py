@@ -1,33 +1,28 @@
 """Exact model of the genus-one curve graphs as the Farey graph.
 
 Vertices are reduced slopes p/q (with 1/0 for the vertical curve), edges
-join slopes whose determinant is +-1.  The graph is locally infinite, so
-distance and geodesic queries run inside a finite candidate set built from
-the Farey-tessellation triangles crossed by the hyperbolic line between
-the endpoints; the companion :mod:`fareyulfp.boxgraph` oracle is used by
-the test suite to certify that this restriction loses nothing.
+join slopes whose determinant is +-1.  A query moves its first endpoint to
+1/0 by a Mobius map and works in that chart, toward a target t.  Distance
+takes one Euclidean step per partial quotient of t, on plain integers.
 
-Distance runs on plain integers, one Euclidean step per partial quotient
-of the normalized target.  The strip's vertices appear in Stern-Brocot
-order, and each new mediant is adjacent to exactly two earlier ones, the
-bracketing pair lo, hi.  That pair separates it and everything after it
-from 1/0, so its strip distance is 1 + min(d(lo), d(hi)); a run of
-mediants on one side has the closed form in :func:`_distance_normalized`.
-Geodesics and the hull cost time linear in the walk, the sum of the
-partial quotients, and check their closure distance against this one.
+Everything else about geodesics is read off one cached ladder per target:
+level i holds the v with d(1/0, v) = i and d(v, t) = d - i, at most two of
+them, and the ladder keeps the edges between consecutive levels.  The
+geodesics are its walks down, their number a sum up it, and the hull the
+union of its levels.  Building it costs time linear in the Stern-Brocot
+walk, the sum of the partial quotients, and its distance is checked
+against the Euclidean one.
 
-Geodesics are searched in the candidate closure: the pivot strip (the
-crossed triangles, whose edges the Stern-Brocot walk lists) plus the third
-vertex of each triangle on a strip edge.  An edge u -- w bounds exactly two
-triangles, with third vertices u + w and u - w, so the closure graph is read
-off the walk in time linear in its length.  It misses no Farey edge between
-closure vertices.  The strip is an ideal polygon triangulated by its walk
-edges, and Farey edges never cross.  An edge joining two pivots therefore
-lies in the polygon and is one of its walk edges.  An added vertex z sits
-across a boundary edge u -- w, alone in the arc that edge cuts off, so an
-edge from z to any other closure vertex would cross u -- w unless it ends at
-u or w.  The test suite checks this graph against a determinant scan of
-every vertex pair.
+It is built on the candidate closure: the pivot strip (the crossed
+triangles, whose edges the walk lists) plus the third vertex of each
+triangle on a strip edge.  An edge u -- w bounds exactly two triangles,
+with third vertices u + w and u - w, so the closure graph is read off the
+walk.  It misses no Farey edge between closure vertices.  The strip is an
+ideal polygon triangulated by its walk edges, and Farey edges never cross,
+so an edge joining two pivots is a walk edge; an added vertex sits alone
+in the arc that its boundary edge u -- w cuts off, so its edges end at u or
+w.  The tests check this graph against a determinant scan, and the
+:mod:`fareyulfp.boxgraph` oracle checks that the closure loses nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +31,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .errors import InternalCheckFailure, PreconditionViolation, parse_lines
 
@@ -237,20 +233,6 @@ def pivot_candidates(x: Slope, y: Slope) -> frozenset[Slope]:
     return frozenset(apply(ginv, v) for v in pivots)
 
 
-def _bfs(adjacency: dict[Slope, Iterable[Slope]], source: Slope) -> dict[Slope, int]:
-    dist = {source: 0}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adjacency[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
 def _distance_normalized(t: Slope) -> int:
     """Distance from 1/0 to t along the pivot strip, one step per partial quotient.
 
@@ -280,13 +262,10 @@ def _distance_normalized(t: Slope) -> int:
 
 
 def distance(x: Slope, y: Slope) -> int:
-    """Curve-graph distance, computed along the pivot strip.
+    """Curve-graph distance, one Euclidean step per continued-fraction term.
 
-    The locally infinite graph is searched only along the tessellation
-    strip between the endpoints, in time linear in the number of
-    continued-fraction terms of the normalized target; the test suite
-    certifies agreement with an exhaustive breadth-first oracle on
-    denominator boxes.
+    The test suite certifies it against an exhaustive breadth-first oracle
+    on denominator boxes.
     """
     if x == y:
         return 0
@@ -333,10 +312,8 @@ class Geodesic:
 def _closure_adjacency(t: Slope) -> dict[Slope, set[Slope]]:
     """The Farey graph on the candidate closure for 1/0 -- t, in the chart.
 
-    The closure is the pivot strip plus the third vertex of each triangle on
-    a strip edge.  The edge u -- w bounds the two triangles with third
-    vertices u + w and u - w, so the graph is read off the walk in linear
-    time; the module docstring explains why it misses no Farey edge.
+    Each walk edge u -- w and its two triangles, with third vertices u + w
+    and u - w; the module docstring explains why no Farey edge is missed.
     """
     _, edges = _normalized_walk(t)
     adjacency: dict[Slope, set[Slope]] = {}
@@ -352,32 +329,61 @@ def _closure_adjacency(t: Slope) -> dict[Slope, set[Slope]]:
     return adjacency
 
 
+Levels = tuple[tuple[Slope, ...], ...]
+Down = tuple[tuple[tuple[int, ...], ...], ...]
+
+
 @lru_cache(maxsize=1 << 13)
-def _geodesics_normalized(t: Slope) -> tuple[tuple[Slope, ...], ...]:
-    """All geodesics from 1/0 to t with vertices in the candidate closure."""
+def _hull_normalized(t: Slope) -> tuple[Levels, Down]:
+    """The geodesic ladder (levels, down) from 1/0 to t in the candidate closure.
+
+    Level i holds, sorted, the v with d(1/0, v) = i and d(v, t) = d - i, and
+    ``down[i][j]`` the positions on level i + 1 of the neighbours of
+    ``levels[i][j]``.
+    """
     adjacency = _closure_adjacency(t)
-    to_target = _bfs(adjacency, t)
+    to_target, queue = {t: 0}, [t]
+    for v in queue:  # the queue grows while it is read, in breadth-first order
+        for w in adjacency[v]:
+            if w not in to_target:
+                to_target[w] = to_target[v] + 1
+                queue.append(w)
     d = to_target.get(INFINITY)
     if d is None or d != _distance_normalized(t):
-        raise InternalCheckFailure(
-            f"candidate closure disagrees with strip distance for {t}"
-        )
-    paths: list[tuple[Slope, ...]] = []
+        raise InternalCheckFailure(f"candidate closure disagrees with strip distance for {t}")
+    levels, down = [(INFINITY,)], []
+    for i in range(d - 1, -1, -1):
+        steps = [[w for w in adjacency[v] if to_target[w] == i] for v in levels[-1]]
+        levels.append(tuple(sorted({w for ws in steps for w in ws})))
+        position = {w: k for k, w in enumerate(levels[-1])}
+        down.append(tuple(tuple(position[w] for w in ws) for ws in steps))
+    return tuple(levels), tuple(down)
 
-    def descend(v: Slope, prefix: list[Slope]) -> None:
-        if v == t:
-            paths.append(tuple(prefix))
-            return
-        level = to_target[v]
-        for w in adjacency[v]:
-            if to_target.get(w) == level - 1:
-                prefix.append(w)
-                descend(w, prefix)
-                prefix.pop()
 
-    descend(INFINITY, [INFINITY])
-    del descend  # the closure refers to itself; clearing it frees the graph now
-    return tuple(sorted(paths))
+def _ladder(x: Slope, y: Slope) -> tuple[list[list[Slope]], Down]:
+    """The ladder of x -- y with its vertices moved back from the chart of x."""
+    if x == y:
+        return [[x]], ()
+    g = normalizer_to_infinity(x)
+    ginv = g.inverse()
+    levels, down = _hull_normalized(apply(g, y))
+    return [[apply(ginv, v) for v in level] for level in levels], down
+
+
+def _ladder_paths(x: Slope, y: Slope) -> Iterator[tuple[Slope, ...]]:
+    """The x -- y geodesics as vertex tuples, lazily and in sorted order."""
+    levels, down = _ladder(x, y)
+    stack = [(0, 0, (x,))]
+    while stack:
+        i, j, path = stack.pop()
+        if i == len(down):
+            yield path
+            continue
+        below, succ = levels[i + 1], down[i][j]
+        if len(succ) > 1:  # push the least successor last, so that it is walked first
+            succ = sorted(succ, key=below.__getitem__, reverse=True)
+        for k in succ:
+            stack.append((i + 1, k, path + (below[k],)))
 
 
 def geodesics(x: Slope, y: Slope) -> frozenset[Geodesic]:
@@ -386,14 +392,7 @@ def geodesics(x: Slope, y: Slope) -> frozenset[Geodesic]:
     Closure completeness is an engineering hypothesis, not a theorem; the
     test suite cross-validates against exhaustive path enumeration.
     """
-    if x == y:
-        return frozenset({Geodesic((x,))})
-    g = normalizer_to_infinity(x)
-    ginv = g.inverse()
-    out = set()
-    for path in _geodesics_normalized(apply(g, y)):
-        out.add(Geodesic(tuple(apply(ginv, v) for v in path)))
-    return frozenset(out)
+    return frozenset(Geodesic(path) for path in _ladder_paths(x, y))
 
 
 def link_at_distance(x: Slope, target: Slope, d: int) -> frozenset[Slope]:
@@ -410,40 +409,39 @@ def link_at_distance(x: Slope, target: Slope, d: int) -> frozenset[Slope]:
     )
 
 
-def _hull(adjacency: dict[Slope, Iterable[Slope]], t: Slope, d: int) -> frozenset[Slope]:
-    """Vertices v of the graph with d(1/0, v) + d(v, t) = d, read off two level maps."""
-    if INFINITY not in adjacency or t not in adjacency:
-        return frozenset()
-    up = _bfs(adjacency, t)
-    return frozenset(v for v, i in _bfs(adjacency, INFINITY).items() if i + up.get(v, d + 1) == d)
+def geodesic_listing(x: Slope, y: Slope, limit: int) -> tuple[int, list[Geodesic]]:
+    """The number of x -- y geodesics, summed up the ladder, and the least ``limit`` of them."""
+    ways = [1]
+    for steps in reversed(_ladder(x, y)[1]):
+        ways = [sum(ways[k] for k in succ) for succ in steps]
+    return ways[0], [Geodesic(path) for path in islice(_ladder_paths(x, y), limit)]
 
 
-@lru_cache(maxsize=1 << 13)
-def _hull_normalized(t: Slope) -> frozenset[Slope]:
-    """Vertices of the geodesics from 1/0 to t in the candidate closure."""
-    hull = _hull(_closure_adjacency(t), t, _distance_normalized(t))
-    if INFINITY not in hull:
-        raise InternalCheckFailure(f"candidate closure disagrees with strip distance for {t}")
-    return hull
+def geodesic_levels(x: Slope, y: Slope) -> Levels:
+    """The hull of x and y by distance from x: level i holds its v with d(x, v) = i, sorted."""
+    return tuple(tuple(sorted(level)) for level in _ladder(x, y)[0])
 
 
 def geodesic_vertices(x: Slope, y: Slope) -> frozenset[Slope]:
     """The v with d(x, v) + d(v, y) = d(x, y) in the closure; no path is enumerated."""
-    if x == y:
-        return frozenset({x})
-    g = normalizer_to_infinity(x)
-    return frozenset(apply(g.inverse(), v) for v in _hull_normalized(apply(g, y)))
+    return frozenset(v for level in _ladder(x, y)[0] for v in level)
 
 
 def geodesic_vertices_within(x: Slope, y: Slope, allowed: Iterable[Slope]) -> frozenset[Slope]:
-    """The vertices of the x -- y geodesics whose vertices all lie in ``allowed``."""
-    keep = geodesic_vertices(x, y).intersection(allowed)
-    if x == y:
-        return keep
-    g = normalizer_to_infinity(x)
-    t, chart = apply(g, y), {apply(g, v) for v in keep}
-    adjacency = {v: ws & chart for v, ws in _closure_adjacency(t).items() if v in chart}
-    return frozenset(apply(g.inverse(), v) for v in _hull(adjacency, t, _distance_normalized(t)))
+    """The vertices of the x -- y geodesics whose vertices all lie in ``allowed``.
+
+    The ladder is pruned forward to the vertices reached from x through
+    allowed ones, then backward to those that still reach y.
+    """
+    allowed = set(allowed)
+    levels, down = _ladder(x, y)
+    reached = [{0} if x in allowed else set()]
+    for steps, below in zip(down, levels[1:]):
+        reached.append({k for j in reached[-1] for k in steps[j] if below[k] in allowed})
+    alive = [reached.pop()]
+    for steps, js in zip(reversed(down), reversed(reached)):
+        alive.append({j for j in js if not alive[-1].isdisjoint(steps[j])})
+    return frozenset(level[j] for level, js in zip(levels, reversed(alive)) for j in js)
 
 
 def random_neighbor(x: Slope, offset: int) -> Slope:

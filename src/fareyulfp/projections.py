@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .annular import Annulus, annular_distance, projects, twist_floors
 from .errors import PreconditionViolation
-from .farey import Slope, SurfaceKind, adjacent, distance, geodesic_vertices
+from .farey import Slope, SurfaceKind, distance, geodesic_levels, geodesic_vertices
 
 MAX_CLIQUE_K = 8
 
@@ -128,7 +128,10 @@ def _find_clique(
             clique.pop()
         return None
 
-    return extend([], list(members))
+    try:
+        return extend([], list(members))
+    finally:
+        del extend  # the closure refers to itself; clearing it frees the search now
 
 
 def check_P(
@@ -278,8 +281,8 @@ def lemma_co_construct(
 
     Every b in B must sit at distance exactly i > 1 from x; the geodesic
     used is the lexicographically least one, so certificates reproduce.
-    Its second vertex is the least neighbour of x in the hull of (x, b),
-    since every such neighbour starts a geodesic to b.
+    Its second vertex is the least vertex of level 1 of the hull of (x, b),
+    since every such vertex starts a geodesic to b.
     """
     if i <= 1:
         raise PreconditionViolation("i must exceed 1")
@@ -287,7 +290,7 @@ def lemma_co_construct(
     for b in sorted(set(B)):
         if distance(x, b) != i:
             raise PreconditionViolation(f"{b} is not at distance {i} from {x}")
-        out.add(min(v for v in geodesic_vertices(x, b) if adjacent(x, v)))
+        out.add(min(geodesic_levels(x, b)[1]))
     return frozenset(out)
 
 
@@ -354,9 +357,8 @@ def vertex_gaps(kind: SurfaceKind, x: Slope, y: Slope) -> Gaps:
     to the core of Z skips Z, and an endpoint equal to the core drops out
     of the minimum.  Keys run nearest x first, then in slope order.
     """
-    hull = geodesic_vertices(x, y)
-    gaps = dict.fromkeys(sorted(hull, key=lambda v: (distance(x, v), v)), (0, None))
-    for core in sorted(hull, key=lambda s: (s.q, s.p)):
+    gaps = dict.fromkeys((v for level in geodesic_levels(x, y) for v in level), (0, None))
+    for core in sorted(gaps, key=lambda s: (s.q, s.p)):
         Z = Annulus(core)
         floors = twist_floors(kind, Z, gaps)
         ends = [(end, floors[end]) for end in (x, y) if end != core]

@@ -13,10 +13,11 @@ import pytest
 
 from corpus import BGIT_CORPUS_SEED, M_EMP, continued_fraction_slope, far_pair_corpus
 import fareyulfp
-from fareyulfp import farey
+from fareyulfp import cli, farey
 from fareyulfp.bounds import BoundParams, Surface, n_bound
 from fareyulfp.cli import Config, run
 from fareyulfp.errors import PreconditionViolation
+from fareyulfp.farey import INFINITY, Geodesic, MobiusMap, apply, geodesics
 
 
 def invoke(capsys, argv: list[str]) -> dict:
@@ -164,7 +165,7 @@ class TestExitCodes:
 
     def test_internal_check_failure_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr(farey, "_distance_normalized", lambda t: -1)
-        farey._geodesics_normalized.cache_clear()
+        farey._hull_normalized.cache_clear()
         code = run(["geod", "1/0", "2/5"])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
@@ -320,3 +321,37 @@ class TestEnvironment:
         monkeypatch.setenv("ULFP_M", "7")
         report = invoke(capsys, ["--M", "11", "dist", "1/0", "0/1"])
         assert report["config"]["M"] == 11
+
+
+class TestGeodListing:
+    """`geod` counts every geodesic and lists at most GEOD_LIST_CAP of them."""
+
+    @staticmethod
+    def pairs(n: int):
+        t = continued_fraction_slope([2] * n)
+        m = MobiusMap(2, 1, 3, 2).compose(MobiusMap(1, 0, -2, 1))
+        return [(INFINITY, t), (apply(m, INFINITY), apply(m, t))]
+
+    def test_listing_is_the_least_paths_and_marked_truncated(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "GEOD_LIST_CAP", 50)
+        for x, y in self.pairs(8):
+            out = invoke(capsys, ["geod", "--", str(x), str(y)])["outputs"]
+            assert out["count"] == 55 and out["truncated"] is True
+            assert out["geodesics"] == [str(g) for g in sorted(geodesics(x, y))[:50]]
+
+    def test_reports_under_the_cap_are_unchanged(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "GEOD_LIST_CAP", 55)
+        for x, y in self.pairs(8):
+            out = invoke(capsys, ["geod", "--", str(x), str(y)])["outputs"]
+            found = sorted(geodesics(x, y))
+            assert out == {"count": len(found), "geodesics": [str(g) for g in found]}
+
+    def test_count_of_f42_geodesics_lists_only_the_cap(self, capsys):
+        x, y = self.pairs(40)[0]
+        out = invoke(capsys, ["geod", str(x), str(y)])["outputs"]
+        assert out["count"] == 267914296 and out["truncated"] is True
+        assert len(out["geodesics"]) == cli.GEOD_LIST_CAP == 10_000
+        first = [Geodesic.parse(text) for text in out["geodesics"][:100]]
+        assert all(g.start == x and g.end == y for g in first)
+        keys = [[tuple(map(int, v.split("/"))) for v in text.split(",")] for text in out["geodesics"]]
+        assert keys == sorted(keys)

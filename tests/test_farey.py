@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import random
 from itertools import combinations
+from typing import Iterable
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,10 @@ from fareyulfp.farey import (
     dehn_twist,
     det,
     distance,
+    geodesic_levels,
+    geodesic_listing,
     geodesic_vertices,
+    geodesic_vertices_within,
     geodesics,
     half_twist,
     intersection,
@@ -98,15 +102,9 @@ def closure_by_determinant_scan(t: Slope) -> dict[Slope, set[Slope]]:
     return adjacency
 
 
-def strip_distance(t: Slope) -> int:
-    """Reference: breadth-first search of the pivot strip from 1/0 to t."""
-    pivots, edges = _normalized_walk(t)
-    adjacency: dict[Slope, list[Slope]] = {v: [] for v in pivots}
-    for u, w in edges:
-        adjacency[u].append(w)
-        adjacency[w].append(u)
-    dist = {INFINITY: 0}
-    frontier = [INFINITY]
+def bfs(adjacency: dict[Slope, Iterable[Slope]], source: Slope) -> dict[Slope, int]:
+    dist = {source: 0}
+    frontier = [source]
     while frontier:
         nxt = []
         for v in frontier:
@@ -115,7 +113,25 @@ def strip_distance(t: Slope) -> int:
                     dist[w] = dist[v] + 1
                     nxt.append(w)
         frontier = nxt
-    return dist[t]
+    return dist
+
+
+def strip_distance(t: Slope) -> int:
+    """Reference: breadth-first search of the pivot strip from 1/0 to t."""
+    pivots, edges = _normalized_walk(t)
+    adjacency: dict[Slope, list[Slope]] = {v: [] for v in pivots}
+    for u, w in edges:
+        adjacency[u].append(w)
+        adjacency[w].append(u)
+    return bfs(adjacency, INFINITY)[t]
+
+
+def reference_hull(adjacency: dict[Slope, Iterable[Slope]], t: Slope, d: int) -> frozenset[Slope]:
+    """Reference: the v with d(1/0, v) + d(v, t) = d, read off two level maps of the graph."""
+    if INFINITY not in adjacency or t not in adjacency:
+        return frozenset()
+    up = bfs(adjacency, t)
+    return frozenset(v for v, i in bfs(adjacency, INFINITY).items() if i + up.get(v, d + 1) == d)
 
 
 def fibonacci(n: int) -> int:
@@ -378,6 +394,90 @@ class TestGeodesics:
         d = distance(x, y)
         for g in geodesics(x, y):
             assert g.start == x and g.end == y and g.length == d
+
+
+class TestLadder:
+    """The one per-target structure: distance levels and the edges between them."""
+
+    # one quotient, long runs, and [0; 2 x 12] with its F(14) geodesics
+    @example(0, [7], 1)
+    @example(-2, [6, 1, 7, 2], 2)
+    @example(0, [2] * 12, 3)
+    @settings(max_examples=150, deadline=None)
+    @given(integer_parts, partial_quotients, st.integers(0, 2**32))
+    def test_levels_sort_the_reference_hull_by_distance(self, a0, terms, seed):
+        t = from_terms(a0, terms)
+        d = _distance_normalized(t)
+        hull = reference_hull(_closure_adjacency(t), t, d)
+        m = random_mobius(random.Random(seed))
+        x, y = apply(m, INFINITY), apply(m, t)
+        for (start, levels, moved) in (
+            (INFINITY, geodesic_levels(INFINITY, t), hull),
+            (x, geodesic_levels(x, y), {apply(m, v) for v in hull}),
+        ):
+            assert len(levels) == d + 1
+            for i, level in enumerate(levels):
+                assert 1 <= len(level) <= 2
+                assert list(level) == sorted(level)
+                assert set(level) == {v for v in moved if distance(start, v) == i}
+
+    @example(0, [2] * 12, 5)
+    @example(1, [1, 2, 2, 1, 3, 2], 6)
+    @settings(max_examples=100, deadline=None)
+    @given(integer_parts, partial_quotients, st.integers(0, 2**32))
+    def test_pruned_ladder_equals_the_restricted_closure_hull(self, a0, terms, seed):
+        rng = random.Random(seed)
+        t = from_terms(a0, terms)
+        d = _distance_normalized(t)
+        closure = _closure_adjacency(t)
+        m = random_mobius(rng)
+        x, y = apply(m, INFINITY), apply(m, t)
+        geodesic_vertices(x, y)  # caches the ladder
+        # drop one or two hull vertices that share their level, and half of the rest
+        hull = reference_hull(closure, t, d)
+        level = bfs(closure, INFINITY)
+        twins = sorted(v for v in hull if sum(level[w] == level[v] for w in hull) == 2)
+        dropped = set(rng.sample(twins, min(len(twins), rng.randint(1, 2))))
+        kept = {v for v in closure if v in hull or rng.random() < 0.5} - dropped
+        for allowed in (kept, kept - {INFINITY}, kept - {t}):
+            restricted = {v: ws & allowed for v, ws in closure.items() if v in allowed}
+            expected = {apply(m, v) for v in reference_hull(restricted, t, d)}
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(farey, "_closure_adjacency", self.refuse)
+                found = geodesic_vertices_within(x, y, [apply(m, v) for v in allowed])
+            assert found == expected
+
+    @staticmethod
+    def refuse(t):
+        raise AssertionError(f"built the closure of {t}")
+
+    def test_pruning_keeps_the_trivial_pair(self):
+        x = Slope(3, 7)
+        assert geodesic_vertices_within(x, x, [x, INFINITY]) == {x}
+        assert geodesic_vertices_within(x, x, [INFINITY]) == frozenset()
+
+    @settings(max_examples=40, deadline=None)
+    @given(integer_parts, partial_quotients, st.integers(0, 2**32))
+    def test_count_and_listing_match_the_sorted_geodesics(self, a0, terms, seed):
+        # at most 14 terms keeps the enumeration small
+        m = random_mobius(random.Random(seed))
+        x, y = apply(m, INFINITY), apply(m, from_terms(a0, terms[:14]))
+        count, listed = geodesic_listing(x, y, 30)
+        assert count == len(geodesics(x, y))
+        assert listed == sorted(geodesics(x, y))[:30]
+
+    # F(102) geodesics could never be listed: the count is summed up the ladder
+    @pytest.mark.parametrize("n", [1, 2, 8, 20, 40, 100])
+    def test_twos_count_fibonacci_geodesics_without_listing_them(self, n):
+        m = random_mobius(random.Random(n))
+        t = from_terms(0, [2] * n)
+        assert geodesic_listing(INFINITY, t, 0) == (fibonacci(n + 2), [])
+        assert geodesic_listing(apply(m, INFINITY), apply(m, t), 0) == (fibonacci(n + 2), [])
+
+    def test_trivial_pair_has_one_geodesic_and_one_level(self):
+        x = Slope(-2, 5)
+        assert geodesic_listing(x, x, 5) == (1, [Geodesic((x,))])
+        assert geodesic_levels(x, x) == ((x,),)
 
 
 class TestCandidates:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from collections import defaultdict
 from itertools import combinations
@@ -194,6 +195,20 @@ class TestUlfpWitness:
         one = ulfp_witness(TORUS, SPEC_SET, 5, 2)
         two = ulfp_witness(TORUS, list(reversed(SPEC_SET)), 5, 2)
         assert one.to_json() == two.to_json()
+
+
+def test_clique_search_leaves_no_cyclic_garbage():
+    rng = random.Random(14)
+    A = sorted({random_slope(rng, 9) for _ in range(40)})[:14]
+    ulfp_witness(TORUS, A, 2, 3)  # warm the ladders so only the searches run below
+    gc.collect()
+    gc.disable()
+    try:
+        for l, k in ((2, 3), (3, 4), (9, 5)):
+            ulfp_witness(TORUS, A, l, k)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestLemmaCo:

@@ -234,10 +234,10 @@ def test_vertex_sets_are_read_without_enumerating_paths(monkeypatch, capsys, tmp
 
     expected = answers()
 
-    def refuse(t):
-        raise AssertionError(f"enumerated the geodesics from 1/0 to {t}")
+    def refuse(x, y):
+        raise AssertionError(f"enumerated the geodesics from {x} to {y}")
 
-    monkeypatch.setattr(farey, "_geodesics_normalized", refuse)
+    monkeypatch.setattr(farey, "_ladder_paths", refuse)
     assert answers() == expected
 
 
