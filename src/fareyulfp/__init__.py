@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"  # the single source of the package version
 
-from .annular import Annulus, TwistCoord, annular_distance, projects, twist_coord
+from .annular import TwistCoord, annular_distance, twist_coord
 from .bounds import (
     BigBound,
     BoundParams,
@@ -33,9 +33,7 @@ from .farey import (
     geodesics,
     half_twist,
     intersection,
-    link_at_distance,
     normalizer_to_infinity,
-    pivot_candidates,
 )
 from .graphcore import (
     BallCoverCertificate,
@@ -50,7 +48,6 @@ from .projections import (
     SubsurfaceRef,
     UlfpCertificate,
     WHOLE,
-    annular_ref,
     bgit_audit,
     candidate_subsurfaces,
     check_P,

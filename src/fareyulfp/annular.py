@@ -7,14 +7,14 @@ the coordinates measured in full-twist units.  On the torus this
 reproduces the twist-distance identity d(y, T^n y) = |n| + 2 exactly; on
 the four-holed sphere the half-twist count is recovered within +-1.
 
-Only the floor of a coordinate enters a distance, so the projection of a
-curve to an annulus is one integer, its twist floor, computed without
-building the rational coordinate.
+An annulus is named by its core slope, and every function here takes the
+core itself.  Only the floor of a coordinate enters a distance, so the
+projection of a curve to an annulus is one integer, its twist floor,
+computed without building the rational coordinate.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -24,44 +24,16 @@ from .farey import MobiusMap, Slope, SurfaceKind, apply, normalizer_to_infinity
 TwistCoord = Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class Annulus:
-    """Annular subsurface named by its core slope.
-
-    Its normalizer is derived, never stored: the canonical Bezout map sending
-    the core to 1/0, so twist coordinates are reproducible across runs.
-    """
-
-    core: Slope
-    given_normalizer: InitVar[MobiusMap | None] = None  # checked, not kept
-
-    def __post_init__(self, given_normalizer: MobiusMap | None) -> None:
-        if given_normalizer not in (None, self.normalizer):
-            raise ValueError(f"non-canonical normalizer for core {self.core}")
-
-    @property
-    def normalizer(self) -> MobiusMap:
-        return normalizer_to_infinity(self.core)
-
-    def __str__(self) -> str:
-        return str(self.core)
-
-
-def projects(Z: Annulus, y: Slope) -> bool:
-    """True iff y has nonempty projection to Z, i.e. y is not the core."""
-    return y != Z.core
-
-
-def twist_coord(Z: Annulus, y: Slope) -> TwistCoord:
-    """The normalized chart position of y as an exact rational."""
-    if not projects(Z, y):
+def twist_coord(core: Slope, y: Slope) -> TwistCoord:
+    """The exact position of y in the chart of the core's canonical normalizer."""
+    if y == core:
         raise EmptyProjection(f"{y} is the core of the annulus")
-    t = apply(Z.normalizer, y)
+    t = apply(normalizer_to_infinity(core), y)
     return Fraction(t.p, t.q)
 
 
 def _floor(g: MobiusMap, shift: int, y: Slope) -> int:
-    """twist_coord(Z, y) // shift in integers, for g the normalizer of Z.
+    """twist_coord(core, y) // shift in integers, for g the normalizer of the core.
 
     Floor division needs no reduction and no sign normalization of the
     image fraction: floor(a / b) = floor(-a / -b).
@@ -69,27 +41,27 @@ def _floor(g: MobiusMap, shift: int, y: Slope) -> int:
     return (g.a * y.p + g.b * y.q) // ((g.c * y.p + g.d * y.q) * shift)
 
 
-def twist_floors(kind: SurfaceKind, Z: Annulus, curves: Iterable[Slope]) -> dict[Slope, int]:
-    """Twist floor, in full-twist units, of every curve projecting to Z.
+def twist_floors(kind: SurfaceKind, core: Slope, curves: Iterable[Slope]) -> dict[Slope, int]:
+    """Twist floor, in full-twist units, of every curve projecting to the annulus.
 
     The core has empty projection and is left out.  For distinct curves
     y and z the annular distance is |floor(y) - floor(z)| + 2.
     """
-    g, shift = Z.normalizer, kind.twist_shift
-    return {y: _floor(g, shift, y) for y in curves if y != Z.core}
+    g, shift = normalizer_to_infinity(core), kind.twist_shift
+    return {y: _floor(g, shift, y) for y in curves if y != core}
 
 
-def annular_distance(kind: SurfaceKind, Z: Annulus, y: Slope, z: Slope) -> int:
-    """Model distance between the projections of y and z to Z.
+def annular_distance(kind: SurfaceKind, core: Slope, y: Slope, z: Slope) -> int:
+    """Model distance between the projections of y and z to the annulus.
 
     Equal curves project to a single set of diameter 1; otherwise the
     distance is the gap between floor-of-twist values plus 2, with the
     floor taken in full-twist units (1 on the torus, 2 on the sphere).
     """
     for curve in (y, z):
-        if not projects(Z, curve):
+        if curve == core:
             raise EmptyProjection(f"{curve} is the core of the annulus")
     if y == z:
         return 1
-    g, shift = Z.normalizer, kind.twist_shift
+    g, shift = normalizer_to_infinity(core), kind.twist_shift
     return abs(_floor(g, shift, y) - _floor(g, shift, z)) + 2

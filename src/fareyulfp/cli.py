@@ -32,7 +32,7 @@ from .farey import (
     half_twist,
     parse_slope_file,
 )
-from .annular import Annulus, annular_distance, twist_coord
+from .annular import annular_distance, twist_coord
 
 # `geod` reports the exact count but lists at most this many geodesics, the
 # least in sorted order, and marks a longer list "truncated"
@@ -203,12 +203,11 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
             result = dehn_twist(kind, x, args.n, y)
         return {"result": str(result)}
     if cmd == "project":
-        Z = Annulus(args.core)
-        y, z = args.y, args.z
+        core, y, z = args.core, args.y, args.z
         return {
-            "core": str(Z.core),
-            "twist": {str(y): str(twist_coord(Z, y)), str(z): str(twist_coord(Z, z))},
-            "distance": annular_distance(kind, Z, y, z),
+            "core": str(core),
+            "twist": {str(y): str(twist_coord(core, y)), str(z): str(twist_coord(core, z))},
+            "distance": annular_distance(kind, core, y, z),
         }
     if cmd == "ulfp":
         curves = _read_input(args.set_file, parse_slope_file)
@@ -234,8 +233,8 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
         report = slices.weak_tight_index(kind, g)
         record = {"geodesic": str(g), "index": report.index}
         if report.attaining is not None:
-            vertex, annulus = report.attaining
-            record["attaining"] = {"vertex": str(vertex), "core": str(annulus.core)}
+            vertex, core = report.attaining
+            record["attaining"] = {"vertex": str(vertex), "core": str(core)}
         return record
     if cmd == "bounds":
         surface = args.surface

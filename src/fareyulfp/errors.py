@@ -22,7 +22,7 @@ class HypothesisViolation(PreconditionViolation):
     """
 
 
-class DisconnectedQuery(ValueError):
+class DisconnectedQuery(PreconditionViolation):
     """A distance or cover query spans several graph components."""
 
 

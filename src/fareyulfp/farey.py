@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .errors import InternalCheckFailure, PreconditionViolation, parse_lines
+from .errors import InternalCheckFailure, parse_lines
 
 
 class SurfaceKind(Enum):
@@ -223,16 +223,6 @@ def _normalized_walk(t: Slope) -> tuple[list[Slope], list[tuple[Slope, Slope]]]:
             hi = med
 
 
-def pivot_candidates(x: Slope, y: Slope) -> frozenset[Slope]:
-    """Vertices of all tessellation triangles crossed by the line x -- y."""
-    if x == y:
-        raise PreconditionViolation("pivot_candidates requires distinct slopes")
-    g = normalizer_to_infinity(x)
-    ginv = g.inverse()
-    pivots, _ = _normalized_walk(apply(g, y))
-    return frozenset(apply(ginv, v) for v in pivots)
-
-
 def _distance_normalized(t: Slope) -> int:
     """Distance from 1/0 to t along the pivot strip, one step per partial quotient.
 
@@ -393,20 +383,6 @@ def geodesics(x: Slope, y: Slope) -> frozenset[Geodesic]:
     test suite cross-validates against exhaustive path enumeration.
     """
     return frozenset(Geodesic(path) for path in _ladder_paths(x, y))
-
-
-def link_at_distance(x: Slope, target: Slope, d: int) -> frozenset[Slope]:
-    """Neighbors of x, within the candidate closure, at distance d from target."""
-    if d < 0:
-        raise PreconditionViolation("distance must be nonnegative")
-    if x == target:
-        return frozenset()
-    g = normalizer_to_infinity(x)
-    ginv = g.inverse()
-    t = apply(g, target)
-    return frozenset(
-        apply(ginv, v) for v in _closure_adjacency(t)[INFINITY] if distance(v, t) == d
-    )
 
 
 def geodesic_listing(x: Slope, y: Slope, limit: int) -> tuple[int, list[Geodesic]]:

@@ -67,6 +67,10 @@ class FiniteGraph:
     def same_component(self, u: int, v: int) -> bool:
         return self._component[u] == self._component[v]
 
+    def _require_vertex(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise PreconditionViolation(f"vertex {v} is not in 0..{self.n - 1}")
+
     @classmethod
     def parse(cls, lines: Iterable[str]) -> "FiniteGraph":
         """Graph file format: first line "n m", then m lines "u v"."""
@@ -93,16 +97,20 @@ class FiniteGraph:
         return dist
 
     def distance(self, u: int, v: int) -> int:
+        self._require_vertex(u)
+        self._require_vertex(v)
         if not self.same_component(u, v):
             raise DisconnectedQuery(f"{u} and {v} lie in different components")
         return self._bfs(u)[v]
 
     def ball(self, x: int, r: int) -> set[int]:
+        self._require_vertex(x)
         if r < 0:
             raise PreconditionViolation("radius must be nonnegative")
         return set(self._bfs(x, cutoff=r))
 
     def circle(self, x: int, r: int) -> set[int]:
+        self._require_vertex(x)
         if r < 0:
             raise PreconditionViolation("radius must be nonnegative")
         return {v for v, d in self._bfs(x, cutoff=r).items() if d == r}
@@ -153,6 +161,8 @@ def greedy_separated(
     if k <= 1:
         raise PreconditionViolation("k must exceed 1")
     members = sorted(set(A))
+    for v in members:
+        graph._require_vertex(v)
     if len({graph.component_labels[v] for v in members}) > 1:
         raise DisconnectedQuery("query set spans several components")
     chosen: list[int] = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .annular import Annulus, annular_distance, projects, twist_floors
+from .annular import annular_distance, twist_floors
 from .errors import PreconditionViolation
 from .farey import Slope, SurfaceKind, distance, geodesic_levels, geodesic_vertices
 
@@ -29,27 +29,28 @@ MAX_CLIQUE_K = 8
 
 @dataclass(frozen=True, slots=True)
 class SubsurfaceRef:
-    """Either the whole surface (annulus None) or an essential annulus."""
+    """The whole surface (core None) or the essential annulus around core.
 
-    annulus: Optional[Annulus] = None
+    Every proper subsurface of these surfaces is an annulus, so its core
+    names it.
+    """
+
+    core: Optional[Slope] = None
 
     @property
     def is_whole(self) -> bool:
-        return self.annulus is None
+        return self.core is None
 
     def __str__(self) -> str:
-        return "whole" if self.annulus is None else f"annulus:{self.annulus.core}"
+        return "whole" if self.core is None else f"annulus:{self.core}"
 
 
 WHOLE = SubsurfaceRef()
 
 
-def annular_ref(core: Slope) -> SubsurfaceRef:
-    return SubsurfaceRef(Annulus(core))
-
-
 def projects_to(Z: SubsurfaceRef, y: Slope) -> bool:
-    return Z.is_whole or projects(Z.annulus, y)
+    """True iff y has nonempty projection to Z: every curve but an annulus core."""
+    return y != Z.core
 
 
 def proj_distance(kind: SurfaceKind, Z: SubsurfaceRef, y: Slope, z: Slope) -> int:
@@ -57,7 +58,7 @@ def proj_distance(kind: SurfaceKind, Z: SubsurfaceRef, y: Slope, z: Slope) -> in
     the twist model for annuli."""
     if Z.is_whole:
         return distance(y, z)
-    return annular_distance(kind, Z.annulus, y, z)
+    return annular_distance(kind, Z.core, y, z)
 
 
 def candidate_subsurfaces(
@@ -73,7 +74,7 @@ def candidate_subsurfaces(
         raise PreconditionViolation("candidate_subsurfaces needs at least 2 curves")
     cores = set().union(*(geodesic_vertices(x, y) for x, y in combinations(members, 2)))
     ordered = sorted(cores, key=lambda s: (s.q, s.p))
-    return (WHOLE,) + tuple(annular_ref(core) for core in ordered)
+    return (WHOLE,) + tuple(SubsurfaceRef(core) for core in ordered)
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def check_P(
                 graph[y].add(x)
         far: FarRelation = lambda y, z: z in graph[y]
     else:
-        floors = twist_floors(kind, Z.annulus, set(A))
+        floors = twist_floors(kind, Z.core, set(A))
         if _largest_far_count(floors.values(), l) < k:
             return PropertyPReport(True, None, 1)
         members = sorted(floors)
@@ -239,7 +240,7 @@ def _greedy_centers(
         projecting = list(members)
         far: FarRelation = lambda v, c: distance(v, c) > l
     else:
-        floors = twist_floors(kind, Z.annulus, members)
+        floors = twist_floors(kind, Z.core, members)
         projecting = [v for v in members if v in floors]
         far = _annular_far(floors, l)
     centers: list[Slope] = []
@@ -341,41 +342,41 @@ def bgit_audit(
         gaps = vertex_gaps(kind, x, y)
         value, at = first_max_gap(gaps, (v for v in gaps if v not in (x, y)))
         if value > best:
-            best, attaining = value, (x, y, at[0], at[1].core)
+            best, attaining = value, (x, y, *at)
     return BgitAudit(best, attaining, audited, skipped)
 
 
-Gaps = dict[Slope, tuple[int, Optional[Annulus]]]
+Gaps = dict[Slope, tuple[int, Optional[Slope]]]
 
 
 def vertex_gaps(kind: SurfaceKind, x: Slope, y: Slope) -> Gaps:
     """Min-side gap of every vertex v of the geodesic hull of (x, y).
 
     The gap of v is its largest min(d_Z(x, v), d_Z(v, y)) over the annuli Z
-    around the hull, in core order (denominator, numerator), with the first
-    annulus reaching it; (0, None) when nothing exceeds 0.  A vertex equal
-    to the core of Z skips Z, and an endpoint equal to the core drops out
-    of the minimum.  Keys run nearest x first, then in slope order.
+    around the hull, in core order (denominator, numerator), with the core
+    of the first annulus reaching it; (0, None) when nothing exceeds 0.  A
+    vertex equal to the core of Z skips Z, and an endpoint equal to the
+    core drops out of the minimum.  Keys run nearest x first, then in slope
+    order.
     """
     gaps = dict.fromkeys((v for level in geodesic_levels(x, y) for v in level), (0, None))
     for core in sorted(gaps, key=lambda s: (s.q, s.p)):
-        Z = Annulus(core)
-        floors = twist_floors(kind, Z, gaps)
+        floors = twist_floors(kind, core, gaps)
         ends = [(end, floors[end]) for end in (x, y) if end != core]
         for v, f in floors.items():
             value = min(1 if end == v else abs(e - f) + 2 for end, e in ends)
             if value > gaps[v][0]:
-                gaps[v] = (value, Z)
+                gaps[v] = (value, core)
     return gaps
 
 
 def first_max_gap(
     gaps: Gaps, vertices: Iterable[Slope]
-) -> tuple[int, Optional[tuple[Slope, Annulus]]]:
-    """The largest gap among ``vertices`` and the first (v, Z) reaching it."""
+) -> tuple[int, Optional[tuple[Slope, Slope]]]:
+    """The largest gap among ``vertices`` and the first (v, core) reaching it."""
     best, attaining = 0, None
     for v in vertices:
-        value, Z = gaps[v]
+        value, core = gaps[v]
         if value > best:
-            best, attaining = value, (v, Z)
+            best, attaining = value, (v, core)
     return best, attaining

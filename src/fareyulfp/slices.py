@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .annular import Annulus
 from .bounds import BigBound, log10_upper, slice_bound_tight, slice_bound_weak, surface_for_kind
 from .errors import HypothesisViolation, InternalCheckFailure, PreconditionViolation
 from .farey import (
@@ -51,7 +50,7 @@ class SliceQuery:
 class WeakTightReport:
     geodesic: Geodesic
     index: int
-    attaining: Optional[tuple[Slope, Annulus]]
+    attaining: Optional[tuple[Slope, Slope]]  # (vertex, core)
 
 
 def tight_slice(

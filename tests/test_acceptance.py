@@ -20,7 +20,7 @@ from corpus import (
     random_mobius,
     random_slope,
 )
-from fareyulfp.annular import Annulus, annular_distance
+from fareyulfp.annular import annular_distance
 from fareyulfp.boxgraph import BoxGraph
 from fareyulfp.bounds import (
     BoundParams,
@@ -75,9 +75,8 @@ def test_criterion_1_torus_twist_identity(announce):
     started = time.monotonic()
     failures = 0
     for x, y, n in _twist_corpus(101, 500):
-        Z = Annulus(x)
         twisted = dehn_twist(TORUS, x, n, y)
-        if annular_distance(TORUS, Z, y, twisted) != abs(n) + 2:
+        if annular_distance(TORUS, x, y, twisted) != abs(n) + 2:
             failures += 1
     elapsed = time.monotonic() - started
     announce(1, "torus twist identity", failures == 0 and elapsed < 5.0)
@@ -90,14 +89,13 @@ def test_criterion_2_sphere_half_twist(announce):
 
     failures = 0
     for x, y, n in _twist_corpus(102, 500):
-        Z = Annulus(x)
         twisted = half_twist(x, n, y)
-        got = annular_distance(SPHERE, Z, y, twisted)
+        got = annular_distance(SPHERE, x, y, twisted)
         want = abs(n) // 2 + 2
         if abs(got - want) > 1:
             failures += 1
             continue
-        t = twist_coord(Z, y)
+        t = twist_coord(x, y)
         frac = t / 2 - (t // 2)
         exact_case = (n > 0 and frac < Fraction(1, 2)) or (
             n < 0 and frac >= Fraction(1, 2)

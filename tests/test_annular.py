@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 
 from corpus import random_mobius, random_slope
-from fareyulfp.annular import Annulus, annular_distance, projects, twist_coord
+from fareyulfp.annular import annular_distance, twist_coord, twist_floors
 from fareyulfp.errors import EmptyProjection
 from fareyulfp.farey import (
     INFINITY,
     MobiusMap,
     Slope,
     SurfaceKind,
+    apply,
     dehn_twist,
     half_twist,
     normalizer_to_infinity,
@@ -25,63 +26,92 @@ SPHERE = SurfaceKind.SPHERE_0_4
 
 
 class TestAnnulus:
-    def test_normalizer_autofilled_and_canonical(self):
-        Z = Annulus(Slope(3, 5))
-        assert Z.normalizer == normalizer_to_infinity(Slope(3, 5))
-        with pytest.raises(ValueError):
-            Annulus(Slope(3, 5), MobiusMap(1, 1, 0, 1))
-
     def test_projects_iff_not_core(self):
-        Z = Annulus(INFINITY)
-        assert not projects(Z, INFINITY)
-        assert projects(Z, Slope(0, 1))
+        with pytest.raises(EmptyProjection):
+            annular_distance(TORUS, INFINITY, INFINITY, Slope(0, 1))
+        assert annular_distance(TORUS, INFINITY, Slope(0, 1), Slope(1, 1)) == 3
+        assert set(twist_floors(TORUS, INFINITY, [INFINITY, Slope(0, 1)])) == {Slope(0, 1)}
 
     def test_twist_coord_in_the_infinity_chart(self):
-        Z = Annulus(INFINITY)
-        assert twist_coord(Z, Slope(3, 7)) == Fraction(3, 7)
+        assert twist_coord(INFINITY, Slope(3, 7)) == Fraction(3, 7)
         with pytest.raises(EmptyProjection):
-            twist_coord(Z, INFINITY)
+            twist_coord(INFINITY, INFINITY)
 
     def test_twist_coord_deterministic_for_general_core(self):
-        Z = Annulus(Slope(2, 5))
-        value = twist_coord(Z, Slope(1, 3))
-        assert value == twist_coord(Annulus(Slope(2, 5)), Slope(1, 3))
-        assert isinstance(value, Fraction)
+        # read in the chart of the canonical normalizer of the core
+        core, y = Slope(2, 5), Slope(1, 3)
+        value = twist_coord(core, y)
+        moved = apply(normalizer_to_infinity(core), y)
+        assert isinstance(value, Fraction) and value == Fraction(moved.p, moved.q)
 
 
 class TestAnnularDistance:
     def test_equal_curves_have_distance_one(self):
-        Z = Annulus(INFINITY)
-        assert annular_distance(TORUS, Z, Slope(2, 3), Slope(2, 3)) == 1
+        assert annular_distance(TORUS, INFINITY, Slope(2, 3), Slope(2, 3)) == 1
 
     def test_floor_gap_plus_two(self):
-        Z = Annulus(INFINITY)
         # coordinates 0 and 5 differ by five full twists
-        assert annular_distance(TORUS, Z, Slope(0, 1), Slope(5, 1)) == 7
+        assert annular_distance(TORUS, INFINITY, Slope(0, 1), Slope(5, 1)) == 7
         # on the sphere a full twist is two chart units
-        assert annular_distance(SPHERE, Z, Slope(0, 1), Slope(5, 1)) == 4
+        assert annular_distance(SPHERE, INFINITY, Slope(0, 1), Slope(5, 1)) == 4
 
     def test_symmetric(self):
         rng = random.Random(11)
-        Z = Annulus(Slope(1, 4))
+        core = Slope(1, 4)
         for _ in range(50):
             y, z = random_slope(rng), random_slope(rng)
-            if y == Z.core or z == Z.core:
+            if core in (y, z):
                 continue
             for kind in SurfaceKind:
-                assert annular_distance(kind, Z, y, z) == annular_distance(
-                    kind, Z, z, y
+                assert annular_distance(kind, core, y, z) == annular_distance(
+                    kind, core, z, y
                 )
 
     def test_distinct_curves_at_least_two(self):
         rng = random.Random(13)
-        Z = Annulus(Slope(0, 1))
+        core = Slope(0, 1)
         for _ in range(100):
             y, z = random_slope(rng), random_slope(rng)
-            if Z.core in (y, z) or y == z:
+            if core in (y, z) or y == z:
                 continue
             for kind in SurfaceKind:
-                assert annular_distance(kind, Z, y, z) >= 2
+                assert annular_distance(kind, core, y, z) >= 2
+
+
+class TestMobiusInvariance:
+    """Moving the core and both curves by one map m keeps the twist model.
+
+    The canonical normalizers of core and m(core) differ, after m, by a map
+    fixing 1/0: x -> x + n when det m = +1, x -> n - x when det m = -1.  A
+    shift moves every twist coordinate of the core by n, so on the torus,
+    one chart unit per twist, floor differences are kept exactly.  On the
+    sphere, two units per twist, an odd shift moves them by at most 1, and
+    so does the reflection on either surface.
+    """
+
+    @staticmethod
+    def moved_triples(seed: int, count: int, flip: bool):
+        rng = random.Random(seed)
+        reflection = MobiusMap(-1, 0, 0, 1)
+        out = []
+        while len(out) < count:
+            core, y, z = (random_slope(rng, 30) for _ in range(3))
+            if core in (y, z):
+                continue
+            m = random_mobius(rng)
+            if flip:
+                m = m.compose(reflection)
+            out.append(((core, y, z), tuple(apply(m, v) for v in (core, y, z))))
+        return out
+
+    def test_torus_distance_is_sl2z_invariant(self):
+        for (core, y, z), moved in self.moved_triples(47, 1500, flip=False):
+            assert annular_distance(TORUS, core, y, z) == annular_distance(TORUS, *moved)
+
+    @pytest.mark.parametrize("kind, flip", [(SPHERE, False), (TORUS, True), (SPHERE, True)])
+    def test_within_one_elsewhere(self, kind, flip):
+        for (core, y, z), moved in self.moved_triples(53, 500, flip):
+            assert abs(annular_distance(kind, core, y, z) - annular_distance(kind, *moved)) <= 1
 
 
 class TestTwistIdentities:
@@ -92,9 +122,8 @@ class TestTwistIdentities:
             n = rng.randint(-50, 50)
             if x == y or n == 0:
                 continue
-            Z = Annulus(x)
             twisted = dehn_twist(TORUS, x, n, y)
-            assert annular_distance(TORUS, Z, y, twisted) == abs(n) + 2
+            assert annular_distance(TORUS, x, y, twisted) == abs(n) + 2
 
     def test_sphere_half_twist_within_one(self):
         rng = random.Random(29)
@@ -103,9 +132,8 @@ class TestTwistIdentities:
             n = rng.randint(-50, 50)
             if x == y or n == 0:
                 continue
-            Z = Annulus(x)
             twisted = half_twist(x, n, y)
-            got = annular_distance(SPHERE, Z, y, twisted)
+            got = annular_distance(SPHERE, x, y, twisted)
             want = abs(n) // 2 + 2
             assert abs(got - want) <= 1, (x, y, n)
 
@@ -119,13 +147,12 @@ class TestTwistIdentities:
             n = rng.randint(-50, 50)
             if x == y or n == 0:
                 continue
-            Z = Annulus(x)
-            t = twist_coord(Z, y)
+            t = twist_coord(x, y)
             frac = t / 2 - (t // 2)
             if not ((n > 0 and frac < Fraction(1, 2)) or (n < 0 and frac >= Fraction(1, 2))):
                 continue
             twisted = half_twist(x, n, y)
-            assert annular_distance(SPHERE, Z, y, twisted) == abs(n) // 2 + 2
+            assert annular_distance(SPHERE, x, y, twisted) == abs(n) // 2 + 2
             checked += 1
 
     def test_twist_equivariance(self):
@@ -137,12 +164,11 @@ class TestTwistIdentities:
             n = rng.randint(-10, 10)
             if x in (y, z):
                 continue
-            Z = Annulus(x)
             for kind in SurfaceKind:
                 ty = dehn_twist(kind, x, n, y)
                 tz = dehn_twist(kind, x, n, z)
-                assert annular_distance(kind, Z, y, z) == annular_distance(
-                    kind, Z, ty, tz
+                assert annular_distance(kind, x, y, z) == annular_distance(
+                    kind, x, ty, tz
                 )
 
     def test_mobius_transport_of_the_core_chart(self):

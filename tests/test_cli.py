@@ -245,6 +245,26 @@ class TestExitCodes:
         line = self.bad_argument(capsys, argv)
         assert line.startswith(f"error: {vertex_set}:4: ") and "v2" in line
 
+    @pytest.mark.parametrize(
+        "edges, vertices, message",
+        [
+            ("4 2\n0 1\n2 3\n", "0\n3\n", "query set spans several components"),
+            ("3 2\n0 1\n1 2\n", "0\n3\n", "vertex 3 is not in 0..2"),
+            ("3 2\n0 1\n1 2\n", "-1\n0\n", "vertex -1 is not in 0..2"),
+        ],
+        ids=["disconnected", "vertex-n", "vertex-minus-one"],
+    )
+    def test_graph_ulfp_precondition_exits_three(self, capsys, tmp_path, edges, vertices, message):
+        graph = tmp_path / "graph.txt"
+        graph.write_text(edges)
+        vertex_set = tmp_path / "set.txt"
+        vertex_set.write_text(vertices)
+        argv = ["graph-ulfp", "--graph", str(graph), "--set", str(vertex_set), "--l", "1", "--k", "2"]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.strip() == f"error: {message}"
+
 
 class TestDigitLimit:
     @pytest.mark.parametrize(

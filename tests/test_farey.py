@@ -36,10 +36,8 @@ from fareyulfp.farey import (
     geodesics,
     half_twist,
     intersection,
-    link_at_distance,
     normalizer_to_infinity,
     parse_slope_file,
-    pivot_candidates,
     random_neighbor,
     _closure_adjacency,
     _distance_normalized,
@@ -481,15 +479,6 @@ class TestLadder:
 
 
 class TestCandidates:
-    def test_pivot_candidates_contain_endpoints(self):
-        x, y = Slope(3, 7), Slope(-5, 2)
-        pivots = pivot_candidates(x, y)
-        assert x in pivots and y in pivots
-
-    def test_pivot_candidates_rejects_equal(self):
-        with pytest.raises(PreconditionViolation):
-            pivot_candidates(INFINITY, INFINITY)
-
     @given(slopes(), slopes())
     def test_common_neighbors_are_mutual(self, u, w):
         if u == w:
@@ -501,15 +490,6 @@ class TestCandidates:
     def test_common_neighbors_of_adjacent_pair(self):
         both = common_neighbors(INFINITY, Slope(0, 1))
         assert both == {Slope(1, 1), Slope(-1, 1)}
-
-    def test_link_at_distance(self):
-        target = Slope(5, 12)
-        d = distance(INFINITY, target)
-        link = link_at_distance(INFINITY, target, d - 1)
-        assert link
-        for v in link:
-            assert adjacent(INFINITY, v)
-            assert distance(v, target) == d - 1
 
     @settings(max_examples=40, deadline=None)
     @given(integer_parts, partial_quotients)

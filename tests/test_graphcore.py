@@ -81,6 +81,18 @@ class TestFiniteGraph:
         with pytest.raises(PreconditionViolation):
             g.ball(0, -1)
 
+    @pytest.mark.parametrize("vertex", [-1, 3, 10])
+    def test_queries_reject_a_vertex_outside_the_graph(self, vertex):
+        g = path_graph(3)
+        for query in (
+            lambda: g.distance(vertex, 0),
+            lambda: g.distance(0, vertex),
+            lambda: g.ball(vertex, 1),
+            lambda: g.circle(vertex, 1),
+        ):
+            with pytest.raises(PreconditionViolation, match=f"vertex {vertex} is not in 0..2"):
+                query()
+
     def test_max_valency(self):
         assert path_graph(5).max_valency() == 2
         assert FiniteGraph(1, []).max_valency() == 0
@@ -116,6 +128,13 @@ class TestGreedySeparated:
         g = FiniteGraph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedQuery):
             greedy_separated(g, [0, 3], 1, 2)
+        assert issubclass(DisconnectedQuery, PreconditionViolation)  # so the CLI exits 3
+
+    @pytest.mark.parametrize("vertex", [-1, 3])
+    def test_rejects_a_vertex_outside_the_graph(self, vertex):
+        # -1 would otherwise alias vertex 2 and enter a certificate
+        with pytest.raises(PreconditionViolation, match=f"vertex {vertex} is not in 0..2"):
+            greedy_separated(path_graph(3), [0, vertex], 1, 2)
 
     def test_witness_on_a_long_path(self):
         g = path_graph(30)

@@ -19,13 +19,13 @@ from corpus import (
     random_mobius,
     random_slope,
 )
-from fareyulfp.annular import Annulus, annular_distance
+from fareyulfp.annular import annular_distance
 from fareyulfp.errors import PreconditionViolation
 from fareyulfp.farey import INFINITY, Slope, SurfaceKind, apply, distance, geodesics
 from fareyulfp.projections import (
     PropertyPReport,
     WHOLE,
-    annular_ref,
+    SubsurfaceRef,
     bgit_audit,
     candidate_subsurfaces,
     check_P,
@@ -45,11 +45,11 @@ SPEC_SET = [Slope(1, 3), Slope(13, 3), Slope(25, 3)]
 class TestSubsurfaceRef:
     def test_whole_vs_annulus(self):
         assert WHOLE.is_whole and str(WHOLE) == "whole"
-        ref = annular_ref(Slope(1, 2))
-        assert not ref.is_whole and str(ref) == "annulus:1/2"
+        ref = SubsurfaceRef(Slope(1, 2))
+        assert not ref.is_whole and ref.core == Slope(1, 2) and str(ref) == "annulus:1/2"
 
     def test_projects_to(self):
-        ref = annular_ref(INFINITY)
+        ref = SubsurfaceRef(INFINITY)
         assert projects_to(WHOLE, INFINITY)
         assert not projects_to(ref, INFINITY)
         assert projects_to(ref, Slope(0, 1))
@@ -57,10 +57,8 @@ class TestSubsurfaceRef:
     def test_proj_distance_dispatch(self):
         y, z = Slope(0, 1), Slope(5, 1)
         assert proj_distance(TORUS, WHOLE, y, z) == distance(y, z)
-        ref = annular_ref(INFINITY)
-        assert proj_distance(TORUS, ref, y, z) == annular_distance(
-            TORUS, Annulus(INFINITY), y, z
-        )
+        ref = SubsurfaceRef(INFINITY)
+        assert proj_distance(TORUS, ref, y, z) == annular_distance(TORUS, INFINITY, y, z)
 
 
 class TestCandidateSubsurfaces:
@@ -73,12 +71,12 @@ class TestCandidateSubsurfaces:
         first = candidate_subsurfaces(TORUS, A)
         assert first[0] is WHOLE
         assert first == candidate_subsurfaces(TORUS, reversed(A))
-        cores = [Z.annulus.core for Z in first[1:]]
+        cores = [Z.core for Z in first[1:]]
         assert cores == sorted(cores, key=lambda s: (s.q, s.p))
 
     def test_covers_all_geodesic_vertices(self):
         A = [INFINITY, Slope(5, 12)]
-        cores = {Z.annulus.core for Z in candidate_subsurfaces(TORUS, A)[1:]}
+        cores = {Z.core for Z in candidate_subsurfaces(TORUS, A)[1:]}
         for g in geodesics(*A):
             assert set(g.vertices) <= cores
 
@@ -96,7 +94,7 @@ class TestCandidateSubsurfaces:
             if not restricted.holds:
                 continue
             for core in box_cores:
-                report = check_P(TORUS, A, l, k, annular_ref(core))
+                report = check_P(TORUS, A, l, k, SubsurfaceRef(core))
                 assert report.holds, (sorted(A), l, k, core)
 
 
@@ -118,7 +116,7 @@ class TestCheckP:
     def test_twisted_family_fails_in_the_vertical_annulus(self):
         # 1/3, 13/3, 25/3 are successive 4-fold twists of 1/3 along 1/0:
         # twist coordinates 1/3, 13/3, 25/3, pairwise model gaps 6, 6, 10.
-        ref = annular_ref(INFINITY)
+        ref = SubsurfaceRef(INFINITY)
         report = check_P(TORUS, SPEC_SET, 5, 2, ref)
         assert not report.holds
         witness, Z = report.witness
@@ -127,7 +125,7 @@ class TestCheckP:
         assert proj_distance(TORUS, ref, pair[0], pair[1]) > 5
 
     def test_same_family_passes_for_large_l(self):
-        report = check_P(TORUS, SPEC_SET, 11, 2, annular_ref(INFINITY))
+        report = check_P(TORUS, SPEC_SET, 11, 2, SubsurfaceRef(INFINITY))
         assert report.holds and report.witness is None
 
     def test_whole_surface_sees_no_far_pair(self):
@@ -256,7 +254,6 @@ class TestLemmaCo:
         for kind in SurfaceKind:
             for _ in range(15):
                 x = random_slope(rng)
-                Z = Annulus(x)
                 groups = defaultdict(list)
                 for _ in range(30):
                     y = random_slope(rng, 40)
@@ -271,8 +268,8 @@ class TestLemmaCo:
                         bp, cp = prim[b], prim[c]
                         if x in (bp, cp):
                             continue
-                        assert annular_distance(kind, Z, bp, cp) <= (
-                            annular_distance(kind, Z, b, c) + 2 * M_EMP
+                        assert annular_distance(kind, x, bp, cp) <= (
+                            annular_distance(kind, x, b, c) + 2 * M_EMP
                         )
 
 

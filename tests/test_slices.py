@@ -69,8 +69,8 @@ class TestWeakTightIndex:
         g = Geodesic.parse("1/0,0/1,1/3,3/8")
         report = weak_tight_index(TORUS, g)
         assert report.index == 3
-        vertex, annulus = report.attaining
-        assert annulus.core == Slope(1, 3)
+        vertex, core = report.attaining
+        assert core == Slope(1, 3)
 
     def test_vertex_pair_hulls_lie_in_the_endpoint_hull(self):
         # a u -- w geodesic between vertices of an x -- y geodesic splices

@@ -15,7 +15,7 @@ from itertools import combinations, product
 import pytest
 
 from corpus import continued_fraction_slope, far_pair_corpus, random_mobius, random_slope
-from fareyulfp.annular import Annulus, annular_distance, twist_coord, twist_floors
+from fareyulfp.annular import annular_distance, twist_coord, twist_floors
 from fareyulfp.farey import INFINITY, Slope, SurfaceKind, apply, dehn_twist, distance, geodesics
 from fareyulfp.projections import (
     WHOLE,
@@ -25,18 +25,20 @@ from fareyulfp.projections import (
     check_P,
     check_P_all,
     ulfp_witness,
+    vertex_gaps,
 )
 from fareyulfp.slices import weak_tight_index, weak_tight_slice
 
 KINDS = list(SurfaceKind)
+TORUS = SurfaceKind.TORUS_1_1
 
 
 def ref_distance(kind, Z: SubsurfaceRef, y: Slope, z: Slope) -> int:
-    return distance(y, z) if Z.is_whole else annular_distance(kind, Z.annulus, y, z)
+    return distance(y, z) if Z.is_whole else annular_distance(kind, Z.core, y, z)
 
 
 def ref_projecting(Z: SubsurfaceRef, A) -> list[Slope]:
-    return sorted(a for a in set(A) if Z.is_whole or a != Z.annulus.core)
+    return sorted(a for a in set(A) if a != Z.core)
 
 
 def ref_check_P(kind, A, l: int, k: int, Z: SubsurfaceRef):
@@ -56,7 +58,7 @@ def ref_cores(pairs) -> list[Slope]:
 
 def ref_subsurfaces(A) -> list[SubsurfaceRef]:
     members = sorted(set(A))
-    return [WHOLE] + [SubsurfaceRef(Annulus(c)) for c in ref_cores(combinations(members, 2))]
+    return [WHOLE] + [SubsurfaceRef(c) for c in ref_cores(combinations(members, 2))]
 
 
 def ref_ulfp_witness(kind, A, l: int, k: int) -> dict:
@@ -85,8 +87,7 @@ def ref_min_side(kind, x, y, vertices, cores):
         for core in cores:
             if v == core:
                 continue
-            Z = Annulus(core)
-            value = min(annular_distance(kind, Z, end, v) for end in (x, y) if end != core)
+            value = min(annular_distance(kind, core, end, v) for end in (x, y) if end != core)
             if value > best:
                 best, attaining = value, (v, core)
     return best, attaining
@@ -107,12 +108,12 @@ def test_floors_are_floors_of_twist_coordinates():
     rng = random.Random(101)
     for kind in KINDS:
         for _ in range(200):
-            Z = Annulus(random_slope(rng, 30))
-            curves = [random_slope(rng, 30) for _ in range(5)] + [Z.core]
-            floors = twist_floors(kind, Z, curves)
-            assert set(floors) == set(curves) - {Z.core}
+            core = random_slope(rng, 30)
+            curves = [random_slope(rng, 30) for _ in range(5)] + [core]
+            floors = twist_floors(kind, core, curves)
+            assert set(floors) == set(curves) - {core}
             for y, f in floors.items():
-                assert f == twist_coord(Z, y) // kind.twist_shift
+                assert f == twist_coord(core, y) // kind.twist_shift
 
 
 def test_greedy_count_is_the_largest_far_set():
@@ -141,7 +142,7 @@ def test_check_P_matches_pairwise_reference(kind):
         l = rng.choice([1, 1, 2, 2, 3, 4, 6, 9])
         k = rng.randint(2, 8)
         cores = [core, random_slope(rng, 8)]
-        for Z in [WHOLE] + [SubsurfaceRef(Annulus(c)) for c in cores]:
+        for Z in [WHOLE] + [SubsurfaceRef(c) for c in cores]:
             expected = ref_check_P(kind, A, l, k, Z)
             report = check_P(kind, A, l, k, Z)
             assert report.holds == (expected is None), (sorted(A), l, k, str(Z))
@@ -198,8 +199,7 @@ def test_weak_tight_index_matches_pairwise_reference(kind):
             value, at = ref_min_side(kind, x, y, g.vertices, cores)
             report = weak_tight_index(kind, g)
             assert report.index == value
-            expected = None if at is None else (at[0], Annulus(at[1]))
-            assert report.attaining == expected
+            assert report.attaining == at
 
 
 def test_weak_tight_slice_matches_per_geodesic_reference():
@@ -232,3 +232,30 @@ def test_weak_tight_slice_matches_per_geodesic_reference():
                     queries += 1
                     partial += min(indices) <= D < max(indices)
     assert queries > 1500 and partial > 30
+
+
+def test_check_P_is_sl2z_invariant_on_the_torus():
+    # On the torus the twist model is exact under SL(2, Z), so moving the set
+    # and the annulus by one word keeps P (test_annular.TestMobiusInvariance).
+    rng = random.Random(505)
+    failures = 0
+    for _ in range(200):
+        core = random_slope(rng, 8)
+        A = twisted_family(rng, TORUS, core, rng.randint(2, 10)) | {random_slope(rng, 10)}
+        l, k = rng.choice([1, 2, 3, 4, 6, 9]), rng.randint(2, 5)
+        m = random_mobius(rng)
+        moved = {apply(m, a) for a in A}
+        for Z, mZ in ((WHOLE, WHOLE), (SubsurfaceRef(core), SubsurfaceRef(apply(m, core)))):
+            holds = check_P(TORUS, A, l, k, Z).holds
+            assert check_P(TORUS, moved, l, k, mZ).holds == holds, (sorted(A), l, k, str(Z))
+            failures += not holds
+    assert failures > 50
+
+
+def test_vertex_gaps_are_sl2z_invariant_on_the_torus():
+    rng = random.Random(606)
+    for x, y in far_pair_corpus(17, 40):
+        m = random_mobius(rng)
+        gaps = {apply(m, v): gap for v, (gap, _) in vertex_gaps(TORUS, x, y).items()}
+        moved = {v: gap for v, (gap, _) in vertex_gaps(TORUS, apply(m, x), apply(m, y)).items()}
+        assert moved == gaps, (str(x), str(y))
