@@ -7,9 +7,12 @@ takes one Euclidean step per partial quotient of t, on plain integers.
 
 Everything else about geodesics is read off one cached ladder per target:
 level i holds the v with d(1/0, v) = i and d(v, t) = d - i, at most two of
-them, and the ladder keeps the edges between consecutive levels.  The
-geodesics are its walks down, their number a sum up it, and the hull the
-union of its levels.  Building it costs time linear in the Stern-Brocot
+them, and the ladder keeps nothing else.  Its edges are the Farey-adjacent
+pairs on consecutive levels: a geodesic to v on level i, the edge v -- w to
+w on level i + 1 and a geodesic from w make a path of length d, so a
+geodesic; and the closure below misses no Farey edge between its vertices.
+The geodesics are its walks down, their number a sum up it, and the hull
+the union of its levels.  Building it costs time linear in the Stern-Brocot
 walk, the sum of the partial quotients, and its distance is checked
 against the Euclidean one.
 
@@ -187,8 +190,8 @@ def half_twist(x: Slope, n: int, y: Slope) -> Slope:
     return _conjugated_shear(x, n, y)
 
 
-def _normalized_walk(t: Slope) -> tuple[list[Slope], list[tuple[Slope, Slope]]]:
-    """Pivot vertices and triangle edges for the line from 1/0 to t.
+def _normalized_walk(t: Slope) -> list[tuple[Slope, Slope]]:
+    """Triangle edges for the line from 1/0 to t.
 
     Works in the chart where the first endpoint is infinity.  The walk
     descends the Stern-Brocot tree by mediants; every vertex of every
@@ -197,26 +200,20 @@ def _normalized_walk(t: Slope) -> tuple[list[Slope], list[tuple[Slope, Slope]]]:
     """
     p, q = t.p, t.q
     m = p // q
-    pivots = [INFINITY]
-    edges: list[tuple[Slope, Slope]] = []
     if q == 1:
         # adjacent endpoints: both triangles sharing the edge 1/0 -- t
         lo, me, hi = Slope(m - 1, 1), Slope(m, 1), Slope(m + 1, 1)
-        pivots += [lo, me, hi]
-        edges += [(INFINITY, lo), (INFINITY, me), (INFINITY, hi), (lo, me), (me, hi)]
-        return pivots, edges
+        return [(INFINITY, lo), (INFINITY, me), (INFINITY, hi), (lo, me), (me, hi)]
     lo = (m, 1)
     hi = (m + 1, 1)
     lo_s, hi_s = Slope(*lo), Slope(*hi)
-    pivots += [lo_s, hi_s]
-    edges += [(INFINITY, lo_s), (INFINITY, hi_s), (lo_s, hi_s)]
+    edges = [(INFINITY, lo_s), (INFINITY, hi_s), (lo_s, hi_s)]
     while True:
         med = (lo[0] + hi[0], lo[1] + hi[1])
         med_s = Slope(*med)
-        pivots.append(med_s)
         edges += [(Slope(*lo), med_s), (med_s, Slope(*hi))]
         if med == (p, q):
-            return pivots, edges
+            return edges
         if med[0] * q < p * med[1]:
             lo = med
         else:
@@ -305,9 +302,8 @@ def _closure_adjacency(t: Slope) -> dict[Slope, set[Slope]]:
     Each walk edge u -- w and its two triangles, with third vertices u + w
     and u - w; the module docstring explains why no Farey edge is missed.
     """
-    _, edges = _normalized_walk(t)
     adjacency: dict[Slope, set[Slope]] = {}
-    for u, w in edges:
+    for u, w in _normalized_walk(t):
         adjacency.setdefault(u, set()).add(w)
         adjacency.setdefault(w, set()).add(u)
         for p, q in ((u.p + w.p, u.q + w.q), (u.p - w.p, u.q - w.q)):
@@ -320,16 +316,13 @@ def _closure_adjacency(t: Slope) -> dict[Slope, set[Slope]]:
 
 
 Levels = tuple[tuple[Slope, ...], ...]
-Down = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 @lru_cache(maxsize=1 << 13)
-def _hull_normalized(t: Slope) -> tuple[Levels, Down]:
-    """The geodesic ladder (levels, down) from 1/0 to t in the candidate closure.
+def _hull_normalized(t: Slope) -> Levels:
+    """The geodesic ladder from 1/0 to t in the candidate closure, in the chart.
 
-    Level i holds, sorted, the v with d(1/0, v) = i and d(v, t) = d - i, and
-    ``down[i][j]`` the positions on level i + 1 of the neighbours of
-    ``levels[i][j]``.
+    Level i holds, unsorted, the v with d(1/0, v) = i and d(v, t) = d - i.
     """
     adjacency = _closure_adjacency(t)
     to_target, queue = {t: 0}, [t]
@@ -341,39 +334,38 @@ def _hull_normalized(t: Slope) -> tuple[Levels, Down]:
     d = to_target.get(INFINITY)
     if d is None or d != _distance_normalized(t):
         raise InternalCheckFailure(f"candidate closure disagrees with strip distance for {t}")
-    levels, down = [(INFINITY,)], []
+    levels = [(INFINITY,)]
     for i in range(d - 1, -1, -1):
-        steps = [[w for w in adjacency[v] if to_target[w] == i] for v in levels[-1]]
-        levels.append(tuple(sorted({w for ws in steps for w in ws})))
-        position = {w: k for k, w in enumerate(levels[-1])}
-        down.append(tuple(tuple(position[w] for w in ws) for ws in steps))
-    return tuple(levels), tuple(down)
+        levels.append(tuple({w for v in levels[-1] for w in adjacency[v] if to_target[w] == i}))
+    return tuple(levels)
 
 
-def _ladder(x: Slope, y: Slope) -> tuple[list[list[Slope]], Down]:
-    """The ladder of x -- y with its vertices moved back from the chart of x."""
+def geodesic_levels(x: Slope, y: Slope) -> Levels:
+    """The hull of x and y by distance from x: level i holds its v with d(x, v) = i, sorted.
+
+    The ladder's edges are the Farey-adjacent pairs on consecutive levels.
+    """
     if x == y:
-        return [[x]], ()
+        return ((x,),)
     g = normalizer_to_infinity(x)
     ginv = g.inverse()
-    levels, down = _hull_normalized(apply(g, y))
-    return [[apply(ginv, v) for v in level] for level in levels], down
+    return tuple(
+        tuple(sorted(apply(ginv, v) for v in level)) for level in _hull_normalized(apply(g, y))
+    )
 
 
-def _ladder_paths(x: Slope, y: Slope) -> Iterator[tuple[Slope, ...]]:
-    """The x -- y geodesics as vertex tuples, lazily and in sorted order."""
-    levels, down = _ladder(x, y)
-    stack = [(0, 0, (x,))]
+def _ladder_paths(levels: Levels) -> Iterator[tuple[Slope, ...]]:
+    """The geodesics of a ladder as vertex tuples, lazily and in sorted order."""
+    stack = [levels[0]]
     while stack:
-        i, j, path = stack.pop()
-        if i == len(down):
+        path = stack.pop()
+        if len(path) == len(levels):
             yield path
             continue
-        below, succ = levels[i + 1], down[i][j]
-        if len(succ) > 1:  # push the least successor last, so that it is walked first
-            succ = sorted(succ, key=below.__getitem__, reverse=True)
-        for k in succ:
-            stack.append((i + 1, k, path + (below[k],)))
+        # push the least successor last, so that it is walked first
+        for w in reversed(levels[len(path)]):
+            if adjacent(path[-1], w):
+                stack.append(path + (w,))
 
 
 def geodesics(x: Slope, y: Slope) -> frozenset[Geodesic]:
@@ -382,25 +374,21 @@ def geodesics(x: Slope, y: Slope) -> frozenset[Geodesic]:
     Closure completeness is an engineering hypothesis, not a theorem; the
     test suite cross-validates against exhaustive path enumeration.
     """
-    return frozenset(Geodesic(path) for path in _ladder_paths(x, y))
+    return frozenset(Geodesic(path) for path in _ladder_paths(geodesic_levels(x, y)))
 
 
 def geodesic_listing(x: Slope, y: Slope, limit: int) -> tuple[int, list[Geodesic]]:
     """The number of x -- y geodesics, summed up the ladder, and the least ``limit`` of them."""
-    ways = [1]
-    for steps in reversed(_ladder(x, y)[1]):
-        ways = [sum(ways[k] for k in succ) for succ in steps]
-    return ways[0], [Geodesic(path) for path in islice(_ladder_paths(x, y), limit)]
-
-
-def geodesic_levels(x: Slope, y: Slope) -> Levels:
-    """The hull of x and y by distance from x: level i holds its v with d(x, v) = i, sorted."""
-    return tuple(tuple(sorted(level)) for level in _ladder(x, y)[0])
+    levels = geodesic_levels(x, y)
+    ways = {y: 1}
+    for level in reversed(levels[:-1]):
+        ways = {v: sum(n for w, n in ways.items() if adjacent(v, w)) for v in level}
+    return ways[x], [Geodesic(path) for path in islice(_ladder_paths(levels), limit)]
 
 
 def geodesic_vertices(x: Slope, y: Slope) -> frozenset[Slope]:
     """The v with d(x, v) + d(v, y) = d(x, y) in the closure; no path is enumerated."""
-    return frozenset(v for level in _ladder(x, y)[0] for v in level)
+    return frozenset(v for level in geodesic_levels(x, y) for v in level)
 
 
 def geodesic_vertices_within(x: Slope, y: Slope, allowed: Iterable[Slope]) -> frozenset[Slope]:
@@ -410,14 +398,14 @@ def geodesic_vertices_within(x: Slope, y: Slope, allowed: Iterable[Slope]) -> fr
     allowed ones, then backward to those that still reach y.
     """
     allowed = set(allowed)
-    levels, down = _ladder(x, y)
-    reached = [{0} if x in allowed else set()]
-    for steps, below in zip(down, levels[1:]):
-        reached.append({k for j in reached[-1] for k in steps[j] if below[k] in allowed})
+    levels = geodesic_levels(x, y)
+    reached = [allowed.intersection(levels[0])]
+    for level in levels[1:]:
+        reached.append({w for w in level if w in allowed and any(adjacent(v, w) for v in reached[-1])})
     alive = [reached.pop()]
-    for steps, js in zip(reversed(down), reversed(reached)):
-        alive.append({j for j in js if not alive[-1].isdisjoint(steps[j])})
-    return frozenset(level[j] for level, js in zip(levels, reversed(alive)) for j in js)
+    for level in reversed(reached):
+        alive.append({v for v in level if any(adjacent(v, w) for w in alive[-1])})
+    return frozenset().union(*alive)
 
 
 def random_neighbor(x: Slope, offset: int) -> Slope:

@@ -65,6 +65,8 @@ class FiniteGraph:
         return self._component
 
     def same_component(self, u: int, v: int) -> bool:
+        self._require_vertex(u)
+        self._require_vertex(v)
         return self._component[u] == self._component[v]
 
     def _require_vertex(self, v: int) -> None:
@@ -97,8 +99,6 @@ class FiniteGraph:
         return dist
 
     def distance(self, u: int, v: int) -> int:
-        self._require_vertex(u)
-        self._require_vertex(v)
         if not self.same_component(u, v):
             raise DisconnectedQuery(f"{u} and {v} lie in different components")
         return self._bfs(u)[v]

@@ -135,6 +135,14 @@ def _find_clique(
         del extend  # the closure refers to itself; clearing it frees the search now
 
 
+def _require_l_and_k(l: int, k: int, k_max: Optional[int] = None) -> None:
+    """l > 0 and 1 < k (<= k_max where the clique search runs)."""
+    if l <= 0:
+        raise PreconditionViolation("l must be positive")
+    if k <= 1 or (k_max is not None and k > k_max):
+        raise PreconditionViolation(f"k must lie in (1, {MAX_CLIQUE_K}]")
+
+
 def check_P(
     kind: SurfaceKind,
     A: Iterable[Slope],
@@ -149,10 +157,7 @@ def check_P(
     annulus a greedy pass over the twist floors decides it, and the same
     clique search runs only when P fails, to name the witness.
     """
-    if l <= 0:
-        raise PreconditionViolation("l must be positive")
-    if not 1 < k <= MAX_CLIQUE_K:
-        raise PreconditionViolation(f"k must lie in (1, {MAX_CLIQUE_K}]")
+    _require_l_and_k(l, k, MAX_CLIQUE_K)
     if Z.is_whole:
         members = sorted(set(A))
         graph: dict[Slope, set[Slope]] = {a: set() for a in members}
@@ -177,6 +182,7 @@ def check_P_all(
     kind: SurfaceKind, A: Iterable[Slope], l: int, k: int
 ) -> PropertyPReport:
     """Conjunction of P(l, k, Z) over the candidate subsurfaces of A."""
+    _require_l_and_k(l, k)
     members = sorted(set(A))
     if len(members) < 2 or len(members) < k:
         return PropertyPReport(True, None, 0)
@@ -259,6 +265,7 @@ def ulfp_witness(
     The candidate subsurfaces are computed once and serve both the P
     checks and the covers.
     """
+    _require_l_and_k(l, k)
     members = sorted(set(A))
     if len(members) < 2:
         return UlfpCertificate(covers=(CoverEntry(WHOLE, tuple(members), l),))

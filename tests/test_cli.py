@@ -265,6 +265,19 @@ class TestExitCodes:
         assert code == 3 and captured.out == ""
         assert captured.err.strip() == f"error: {message}"
 
+    @pytest.mark.parametrize(
+        "l, k, message",
+        [("-5", "100", "l must be positive"), ("3", "1", "k must lie in (1, 8]")],
+        ids=["negative-l", "k-one"],
+    )
+    def test_ulfp_rejects_bad_l_and_k_on_a_small_set(self, capsys, tmp_path, l, k, message):
+        curves = tmp_path / "curves.txt"
+        curves.write_text("1/0\n0/1\n1/2\n")
+        code = run(["ulfp", "--set", str(curves), "--l", l, "--k", k])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.strip() == f"error: {message}"
+
 
 class TestDigitLimit:
     @pytest.mark.parametrize(

@@ -88,8 +88,8 @@ def common_neighbors(u: Slope, w: Slope) -> frozenset[Slope]:
 
 def closure_by_determinant_scan(t: Slope) -> dict[Slope, set[Slope]]:
     """The closure graph built the slow way: |det| = 1 tested on every pair."""
-    pivots, edges = _normalized_walk(t)
-    vertices = set(pivots)
+    edges = _normalized_walk(t)
+    vertices = {v for edge in edges for v in edge}
     for u, w in edges:
         vertices |= common_neighbors(u, w)
     adjacency: dict[Slope, set[Slope]] = {v: set() for v in vertices}
@@ -116,8 +116,8 @@ def bfs(adjacency: dict[Slope, Iterable[Slope]], source: Slope) -> dict[Slope, i
 
 def strip_distance(t: Slope) -> int:
     """Reference: breadth-first search of the pivot strip from 1/0 to t."""
-    pivots, edges = _normalized_walk(t)
-    adjacency: dict[Slope, list[Slope]] = {v: [] for v in pivots}
+    edges = _normalized_walk(t)
+    adjacency: dict[Slope, list[Slope]] = {v: [] for edge in edges for v in edge}
     for u, w in edges:
         adjacency[u].append(w)
         adjacency[w].append(u)
@@ -130,6 +130,21 @@ def reference_hull(adjacency: dict[Slope, Iterable[Slope]], t: Slope, d: int) ->
         return frozenset()
     up = bfs(adjacency, t)
     return frozenset(v for v, i in bfs(adjacency, INFINITY).items() if i + up.get(v, d + 1) == d)
+
+
+def reference_paths(adjacency: dict[Slope, Iterable[Slope]], t: Slope) -> set[tuple[Slope, ...]]:
+    """Reference: every shortest 1/0 -- t path of the graph, stepped off two level maps."""
+    down, up = bfs(adjacency, INFINITY), bfs(adjacency, t)
+    d = down[t]
+    paths, stack = set(), [(INFINITY,)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == t:
+            paths.add(path)
+            continue
+        i = len(path)
+        stack += [path + (w,) for w in adjacency[path[-1]] if down[w] == i and up[w] == d - i]
+    return paths
 
 
 def fibonacci(n: int) -> int:
@@ -444,6 +459,21 @@ class TestLadder:
                 patch.setattr(farey, "_closure_adjacency", self.refuse)
                 found = geodesic_vertices_within(x, y, [apply(m, v) for v in allowed])
             assert found == expected
+
+    # big integer parts and quotients, long runs, and [0; 2 x 14] with its F(16) geodesics
+    @example(10**40, [7], 1)
+    @example(-3, [900, 2, 50], 2)
+    @example(0, [2] * 14, 3)
+    @settings(max_examples=80, deadline=None)
+    @given(integer_parts, partial_quotients, st.integers(0, 2**32))
+    def test_paths_are_the_shortest_paths_of_the_closure(self, a0, terms, seed):
+        # at most 14 terms keeps the enumeration small
+        t = from_terms(a0, terms[:14])
+        m = random_mobius(random.Random(seed))
+        expected = {
+            tuple(apply(m, v) for v in path) for path in reference_paths(_closure_adjacency(t), t)
+        }
+        assert {g.vertices for g in geodesics(apply(m, INFINITY), apply(m, t))} == expected
 
     @staticmethod
     def refuse(t):

@@ -93,6 +93,14 @@ class TestFiniteGraph:
             with pytest.raises(PreconditionViolation, match=f"vertex {vertex} is not in 0..2"):
                 query()
 
+    @pytest.mark.parametrize("vertex", [-1, 3, 10])
+    def test_same_component_rejects_a_vertex_outside_the_graph(self, vertex):
+        # -1 would alias the last vertex, and 3 index past the labels
+        g = path_graph(3)
+        for query in (lambda: g.same_component(vertex, 0), lambda: g.same_component(0, vertex)):
+            with pytest.raises(PreconditionViolation, match=f"vertex {vertex} is not in 0..2"):
+                query()
+
     def test_max_valency(self):
         assert path_graph(5).max_valency() == 2
         assert FiniteGraph(1, []).max_valency() == 0

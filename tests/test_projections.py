@@ -153,6 +153,18 @@ class TestCheckPAll:
         assert check_P_all(TORUS, [INFINITY], 3, 2).checked_subsurfaces == 0
         assert check_P_all(TORUS, SPEC_SET, 3, 4).checked_subsurfaces == 0
 
+    @pytest.mark.parametrize(
+        "A, l, k, message",
+        [
+            ([INFINITY, Slope(0, 1), Slope(1, 2)], -5, 100, "l must be positive"),
+            ([INFINITY], 0, 2, "l must be positive"),
+            ([INFINITY], 3, -4, "k must lie in"),
+        ],
+    )
+    def test_rejects_bad_l_and_k_on_sets_too_small_to_check(self, A, l, k, message):
+        with pytest.raises(PreconditionViolation, match=message):
+            check_P_all(TORUS, A, l, k)
+
     def test_counts_checked_subsurfaces(self):
         report = check_P_all(TORUS, SPEC_SET, 11, 2)
         assert report.holds
@@ -182,6 +194,24 @@ class TestUlfpWitness:
                     proj_distance(TORUS, entry.subsurface, a, c) <= entry.radius
                     for c in entry.centers
                 ), (entry, a)
+
+    @pytest.mark.parametrize(
+        "A, l, k, message",
+        [
+            ([INFINITY, Slope(0, 1), Slope(1, 2)], -5, 100, "l must be positive"),
+            ([INFINITY], 3, 1, "k must lie in"),
+            ([INFINITY, Slope(0, 1)], 2, 0, "k must lie in"),
+        ],
+    )
+    def test_rejects_bad_l_and_k_before_covering(self, A, l, k, message):
+        # a cover needs k - 1 >= 1 centres and a positive radius
+        with pytest.raises(PreconditionViolation, match=message):
+            ulfp_witness(TORUS, A, l, k)
+
+    def test_large_k_on_a_small_set_is_still_covered(self):
+        # the k <= 8 cap binds only where the clique search runs
+        cert = ulfp_witness(TORUS, [INFINITY, Slope(0, 1), Slope(1, 2)], 3, 100)
+        assert cert.kind == "covered"
 
     def test_certificate_validation(self):
         from fareyulfp.projections import UlfpCertificate
