@@ -44,14 +44,12 @@ from .graphcore import (
     ulf_bound,
 )
 from .projections import (
-    PropertyPReport,
     SubsurfaceRef,
     UlfpCertificate,
     WHOLE,
     bgit_audit,
     candidate_subsurfaces,
     check_P,
-    check_P_all,
     lemma_co_construct,
     proj_distance,
     ulfp_witness,

@@ -3,10 +3,11 @@
 Every subcommand prints a single RunReport JSON document on stdout.
 Exit status: 0 on success, 2 on argument errors (malformed slopes,
 geodesics or surfaces, unreadable or malformed input files, the latter
-named as "file:line" where a line is at fault), 3 when a precondition or
-theorem hypothesis is violated (the message names it), 4 when an internal
-self-check fails (a defect, not bad input), and 1 when the reader of
-stdout closes it before the report is written, as ``| head`` does.
+named as "file:line" where a line is at fault, non-integer environment
+fallbacks), 3 when a precondition or theorem hypothesis is violated (the
+message names it), 4 when an internal self-check fails (a defect, not
+bad input), and 1 when the reader of stdout closes it before the report
+is written, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .annular import annular_distance, twist_coord
 GEOD_LIST_CAP = 10_000
 
 
-class InputFileError(Exception):
-    """An input file does not parse; reported as an argument error."""
+class _BadInput(Exception):
+    """An input file or environment fallback does not parse; reported as an
+    argument error."""
 
 
 @dataclass(frozen=True)
@@ -58,13 +60,19 @@ class Config:
     exact_digit_cap: int = bounds_mod.DEFAULT_DIGIT_CAP
 
     def __post_init__(self) -> None:
-        if self.M <= 0 or self.delta < 0 or self.exact_digit_cap <= 0:
+        # run() sets the int-to-str digit limit, a C int, to the cap plus 100
+        if self.M <= 0 or self.delta < 0 or not 0 < self.exact_digit_cap <= 2**31 - 101:
             raise PreconditionViolation("invalid configuration value")
 
 
 def _env_int(name: str, fallback: int) -> int:
     raw = os.environ.get(name)
-    return int(raw) if raw is not None else fallback
+    if raw is None:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise _BadInput(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _argument_type(name: str, parse):
@@ -95,9 +103,9 @@ def _read_input(path: str, parse):
         try:
             return parse(fh)
         except MalformedLine as exc:
-            raise InputFileError(f"{path}:{exc.line}: {exc}") from None
+            raise _BadInput(f"{path}:{exc.line}: {exc}") from None
         except ValueError as exc:
-            raise InputFileError(f"{path}: {exc}") from None
+            raise _BadInput(f"{path}: {exc}") from None
 
 
 _slope = _argument_type("slope", Slope.parse)
@@ -288,7 +296,7 @@ def run(argv: list[str]) -> int:
     except PreconditionViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, InputFileError) as exc:  # an unreadable or malformed input file
+    except (OSError, _BadInput) as exc:  # an unreadable or malformed input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckFailure as exc:

@@ -5,8 +5,11 @@ projections to Z are pairwise more than l apart.  The subsurfaces worth
 checking are the whole surface plus the annuli around the geodesic hulls
 of member pairs, the vertices v with d(x, v) + d(v, y) = d(x, y): a large
 annular gap forces the core onto every geodesic between the offending
-pair, so no witness can hide elsewhere.  That restriction is an
-oracle-tested hypothesis, not a theorem.
+pair, so no witness can hide elsewhere.  That restriction is a
+hypothesis, not a theorem: box-oracle tests support it for l >= 3, and it
+fails silently for l <= 2.  With l = k = 2, {-1/1, 0/1} is certified
+covered, yet the two are 3 apart in the annulus around 1/0, the third
+vertex of their Farey triangle (ROADMAP.md, "Property P off the hulls").
 
 On an annulus every projection is one integer, the twist floor, and two
 distinct curves are more than l apart exactly when their floors differ by
@@ -48,11 +51,6 @@ class SubsurfaceRef:
 WHOLE = SubsurfaceRef()
 
 
-def projects_to(Z: SubsurfaceRef, y: Slope) -> bool:
-    """True iff y has nonempty projection to Z: every curve but an annulus core."""
-    return y != Z.core
-
-
 def proj_distance(kind: SurfaceKind, Z: SubsurfaceRef, y: Slope, z: Slope) -> int:
     """Distance between projections: graph distance for the whole surface,
     the twist model for annuli."""
@@ -75,17 +73,6 @@ def candidate_subsurfaces(
     cores = set().union(*(geodesic_vertices(x, y) for x, y in combinations(members, 2)))
     ordered = sorted(cores, key=lambda s: (s.q, s.p))
     return (WHOLE,) + tuple(SubsurfaceRef(core) for core in ordered)
-
-
-@dataclass(frozen=True)
-class PropertyPReport:
-    holds: bool
-    witness: Optional[tuple[frozenset[Slope], SubsurfaceRef]]
-    checked_subsurfaces: int
-
-    def __post_init__(self) -> None:
-        if self.holds == (self.witness is not None):
-            raise ValueError("witness present iff the property fails")
 
 
 FarRelation = Callable[[Slope, Slope], bool]
@@ -149,8 +136,10 @@ def check_P(
     l: int,
     k: int,
     Z: SubsurfaceRef,
-) -> PropertyPReport:
-    """Decide P(l, k, Z) exactly, with k <= 8.
+) -> Optional[frozenset[Slope]]:
+    """Decide P(l, k, Z) exactly, with k <= 8: None when it holds, else the
+    witness, the first k projecting curves in slope order that are
+    pairwise more than l apart in Z.
 
     Curves with empty projection to Z are skipped.  On the whole surface
     the decision is a clique search on the threshold graph.  On an
@@ -169,30 +158,10 @@ def check_P(
     else:
         floors = twist_floors(kind, Z.core, set(A))
         if _largest_far_count(floors.values(), l) < k:
-            return PropertyPReport(True, None, 1)
+            return None
         members = sorted(floors)
         far = _annular_far(floors, l)
-    clique = _find_clique(members, far, k)
-    if clique is None:
-        return PropertyPReport(True, None, 1)
-    return PropertyPReport(False, (clique, Z), 1)
-
-
-def check_P_all(
-    kind: SurfaceKind, A: Iterable[Slope], l: int, k: int
-) -> PropertyPReport:
-    """Conjunction of P(l, k, Z) over the candidate subsurfaces of A."""
-    _require_l_and_k(l, k)
-    members = sorted(set(A))
-    if len(members) < 2 or len(members) < k:
-        return PropertyPReport(True, None, 0)
-    checked = 0
-    for Z in candidate_subsurfaces(kind, members):
-        checked += 1
-        report = check_P(kind, members, l, k, Z)
-        if not report.holds:
-            return PropertyPReport(False, report.witness, checked)
-    return PropertyPReport(True, None, checked)
+    return _find_clique(members, far, k)
 
 
 @dataclass(frozen=True)
@@ -262,8 +231,8 @@ def ulfp_witness(
     """Constructive dichotomy: a far k-set, or greedy covers in every
     checked subsurface (at most k-1 centers each, by maximality).
 
-    The candidate subsurfaces are computed once and serve both the P
-    checks and the covers.
+    The only loop over the candidate subsurfaces: computed once, they
+    serve both the P checks, in order, and the covers.
     """
     _require_l_and_k(l, k)
     members = sorted(set(A))
@@ -272,9 +241,9 @@ def ulfp_witness(
     subsurfaces = candidate_subsurfaces(kind, members)
     if len(members) >= k:
         for Z in subsurfaces:
-            report = check_P(kind, members, l, k, Z)
-            if not report.holds:
-                return UlfpCertificate(witness=report.witness)
+            clique = check_P(kind, members, l, k, Z)
+            if clique is not None:
+                return UlfpCertificate(witness=(clique, Z))
     return UlfpCertificate(
         covers=tuple(
             CoverEntry(Z, _greedy_centers(kind, members, l, Z), l) for Z in subsurfaces

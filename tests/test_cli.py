@@ -298,6 +298,16 @@ class TestDigitLimit:
         finally:
             sys.set_int_max_str_digits(before)
 
+    @pytest.mark.parametrize("cap, code", [("2147483547", 0), ("2147483548", 3), (str(10**20), 3)])
+    def test_digit_cap_must_fit_a_c_int(self, capsys, cap, code):
+        # run() raises the int-to-str limit, a C int, to the cap plus 100
+        before = sys.get_int_max_str_digits()
+        assert run(["--digit-cap", cap, "dist", "1/0", "1/2"]) == code
+        assert sys.get_int_max_str_digits() == before
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == "" and captured.err.strip() == "error: invalid configuration value"
+
     def test_outputs_beyond_the_default_limit_print(self, capsys):
         # slopes that parse under the default 4 300-digit limit can have
         # twist coordinates far longer than it
@@ -349,6 +359,14 @@ class TestEnvironment:
         assert report["config"]["M"] == 7
         assert report["config"]["delta"] == 4
         assert report["config"]["seed"] == 9
+
+    @pytest.mark.parametrize("name", ["ULFP_M", "ULFP_DELTA", "ULFP_SEED"])
+    def test_malformed_fallback_exits_two(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        code = run(["dist", "1/0", "1/2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.strip() == f"error: {name} must be an integer, got 'abc'"
 
     def test_flags_beat_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ULFP_M", "7")

@@ -19,20 +19,18 @@ from corpus import (
     random_mobius,
     random_slope,
 )
+from fareyulfp import projections
 from fareyulfp.annular import annular_distance
 from fareyulfp.errors import PreconditionViolation
 from fareyulfp.farey import INFINITY, Slope, SurfaceKind, apply, distance, geodesics
 from fareyulfp.projections import (
-    PropertyPReport,
     WHOLE,
     SubsurfaceRef,
     bgit_audit,
     candidate_subsurfaces,
     check_P,
-    check_P_all,
     lemma_co_construct,
     proj_distance,
-    projects_to,
     ulfp_witness,
 )
 
@@ -48,11 +46,14 @@ class TestSubsurfaceRef:
         ref = SubsurfaceRef(Slope(1, 2))
         assert not ref.is_whole and ref.core == Slope(1, 2) and str(ref) == "annulus:1/2"
 
-    def test_projects_to(self):
+    def test_every_curve_but_the_core_projects(self):
+        # every curve projects to the whole surface, and to an annulus
+        # every curve but its core
+        A = [INFINITY, Slope(0, 1), Slope(3, 1)]
+        assert check_P(TORUS, A, 1, 3, WHOLE) is None  # 0/1 and 3/1 are 2 apart
         ref = SubsurfaceRef(INFINITY)
-        assert projects_to(WHOLE, INFINITY)
-        assert not projects_to(ref, INFINITY)
-        assert projects_to(ref, Slope(0, 1))
+        assert check_P(TORUS, A, 1, 2, ref) == {Slope(0, 1), Slope(3, 1)}
+        assert check_P(TORUS, A, 1, 3, ref) is None
 
     def test_proj_distance_dispatch(self):
         y, z = Slope(0, 1), Slope(5, 1)
@@ -82,29 +83,28 @@ class TestCandidateSubsurfaces:
 
     def test_no_witness_hides_outside_candidates(self):
         # Brute-force over every annulus core in a box: whenever the
-        # candidate-restricted check holds, so does every box annulus.
-        rng = random.Random(17)
+        # candidate-restricted search finds no witness, neither does any
+        # box annulus.  l >= 3 only: for l <= 2 the restriction is known
+        # to miss witnesses.
         box_cores = slopes_with_denominator_up_to(16)
-        for _ in range(60):
-            A = {random_slope(rng, 13) for _ in range(rng.randint(2, 5))}
-            if len(A) < 2:
-                continue
-            l, k = rng.choice([(3, 2), (5, 2), (3, 3)])
-            restricted = check_P_all(TORUS, A, l, k)
-            if not restricted.holds:
-                continue
-            for core in box_cores:
-                report = check_P(TORUS, A, l, k, SubsurfaceRef(core))
-                assert report.holds, (sorted(A), l, k, core)
+        held = 0
+        for kind in SurfaceKind:
+            rng = random.Random(17)
+            for _ in range(60):
+                A = {random_slope(rng, 13) for _ in range(rng.randint(2, 5))}
+                if len(A) < 2:
+                    continue
+                l, k = rng.choice([(3, 2), (4, 2), (5, 2), (3, 3), (4, 3)])
+                if ulfp_witness(kind, A, l, k).witness is not None:
+                    continue
+                held += 1
+                for core in box_cores:
+                    Z = SubsurfaceRef(core)
+                    assert check_P(kind, A, l, k, Z) is None, (kind, sorted(A), l, k, core)
+        assert held > 40  # the corpus exercises the box check (49 sets)
 
 
 class TestCheckP:
-    def test_report_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            PropertyPReport(True, (frozenset(), WHOLE), 1)
-        with pytest.raises(ValueError):
-            PropertyPReport(False, None, 1)
-
     def test_preconditions(self):
         with pytest.raises(PreconditionViolation):
             check_P(TORUS, SPEC_SET, 0, 2, WHOLE)
@@ -117,22 +117,18 @@ class TestCheckP:
         # 1/3, 13/3, 25/3 are successive 4-fold twists of 1/3 along 1/0:
         # twist coordinates 1/3, 13/3, 25/3, pairwise model gaps 6, 6, 10.
         ref = SubsurfaceRef(INFINITY)
-        report = check_P(TORUS, SPEC_SET, 5, 2, ref)
-        assert not report.holds
-        witness, Z = report.witness
-        assert Z == ref and len(witness) == 2
+        witness = check_P(TORUS, SPEC_SET, 5, 2, ref)
+        assert witness is not None and len(witness) == 2
         pair = sorted(witness)
         assert proj_distance(TORUS, ref, pair[0], pair[1]) > 5
 
     def test_same_family_passes_for_large_l(self):
-        report = check_P(TORUS, SPEC_SET, 11, 2, SubsurfaceRef(INFINITY))
-        assert report.holds and report.witness is None
+        assert check_P(TORUS, SPEC_SET, 11, 2, SubsurfaceRef(INFINITY)) is None
 
     def test_whole_surface_sees_no_far_pair(self):
         # pairwise curve-graph distance in the family is exactly 4
-        report = check_P(TORUS, SPEC_SET, 4, 2, WHOLE)
-        assert report.holds
-        assert not check_P(TORUS, SPEC_SET, 3, 2, WHOLE).holds
+        assert check_P(TORUS, SPEC_SET, 4, 2, WHOLE) is None
+        assert check_P(TORUS, SPEC_SET, 3, 2, WHOLE) is not None
 
     def test_witness_is_pairwise_far(self):
         rng = random.Random(19)
@@ -140,18 +136,33 @@ class TestCheckP:
             A = {random_slope(rng, 15) for _ in range(5)}
             if len(A) < 2:
                 continue
-            report = check_P_all(TORUS, A, 2, 2)
-            if report.holds:
+            found = ulfp_witness(TORUS, A, 2, 2).witness
+            if found is None:
                 continue
-            witness, Z = report.witness
+            witness, Z = found
             for x, y in combinations(sorted(witness), 2):
                 assert proj_distance(TORUS, Z, x, y) > 2
 
 
 class TestCheckPAll:
-    def test_vacuous_small_sets(self):
-        assert check_P_all(TORUS, [INFINITY], 3, 2).checked_subsurfaces == 0
-        assert check_P_all(TORUS, SPEC_SET, 3, 4).checked_subsurfaces == 0
+    """P over all candidate subsurfaces, decided by the loop in ulfp_witness."""
+
+    @staticmethod
+    def count_checks(monkeypatch) -> list:
+        checked = []
+
+        def counting(kind, A, l, k, Z):
+            checked.append(Z)
+            return check_P(kind, A, l, k, Z)
+
+        monkeypatch.setattr(projections, "check_P", counting)
+        return checked
+
+    def test_vacuous_small_sets(self, monkeypatch):
+        checked = self.count_checks(monkeypatch)
+        assert ulfp_witness(TORUS, [INFINITY], 3, 2).kind == "covered"
+        assert ulfp_witness(TORUS, SPEC_SET, 3, 4).kind == "covered"
+        assert checked == []
 
     @pytest.mark.parametrize(
         "A, l, k, message",
@@ -163,14 +174,12 @@ class TestCheckPAll:
     )
     def test_rejects_bad_l_and_k_on_sets_too_small_to_check(self, A, l, k, message):
         with pytest.raises(PreconditionViolation, match=message):
-            check_P_all(TORUS, A, l, k)
+            ulfp_witness(TORUS, A, l, k)
 
-    def test_counts_checked_subsurfaces(self):
-        report = check_P_all(TORUS, SPEC_SET, 11, 2)
-        assert report.holds
-        assert report.checked_subsurfaces == len(
-            candidate_subsurfaces(TORUS, SPEC_SET)
-        )
+    def test_counts_checked_subsurfaces(self, monkeypatch):
+        checked = self.count_checks(monkeypatch)
+        assert ulfp_witness(TORUS, SPEC_SET, 11, 2).kind == "covered"
+        assert tuple(checked) == candidate_subsurfaces(TORUS, SPEC_SET)
 
 
 class TestUlfpWitness:
@@ -188,7 +197,7 @@ class TestUlfpWitness:
         for entry in cert.covers:
             assert len(entry.centers) <= 1  # at most k - 1 centers
             for a in A:
-                if not projects_to(entry.subsurface, a):
+                if a == entry.subsurface.core:
                     continue
                 assert any(
                     proj_distance(TORUS, entry.subsurface, a, c) <= entry.radius

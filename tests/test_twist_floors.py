@@ -23,7 +23,6 @@ from fareyulfp.projections import (
     _largest_far_count,
     bgit_audit,
     check_P,
-    check_P_all,
     ulfp_witness,
     vertex_gaps,
 )
@@ -144,11 +143,8 @@ def test_check_P_matches_pairwise_reference(kind):
         cores = [core, random_slope(rng, 8)]
         for Z in [WHOLE] + [SubsurfaceRef(c) for c in cores]:
             expected = ref_check_P(kind, A, l, k, Z)
-            report = check_P(kind, A, l, k, Z)
-            assert report.holds == (expected is None), (sorted(A), l, k, str(Z))
-            if expected is not None:
-                failures += 1
-                assert report.witness == (expected, Z)
+            assert check_P(kind, A, l, k, Z) == expected, (sorted(A), l, k, str(Z))
+            failures += expected is not None
     assert failures > 100  # the corpus exercises the witness search
 
 
@@ -165,8 +161,8 @@ def test_ulfp_witness_matches_pairwise_reference(kind):
         got = ulfp_witness(kind, A, l, k).to_json()
         assert got == ref_ulfp_witness(kind, A, l, k), (sorted(A), l, k)
         seen.add((got["type"], got.get("subsurface", "-")[:7]))
-        report = check_P_all(kind, A, l, k)
-        assert report.holds == (got["type"] == "covered")
+        holds = all(check_P(kind, A, l, k, Z) is None for Z in ref_subsurfaces(A))
+        assert holds == (got["type"] == "covered")
     assert seen == {("witness", "whole"), ("witness", "annulus"), ("covered", "-")}
 
 
@@ -246,8 +242,8 @@ def test_check_P_is_sl2z_invariant_on_the_torus():
         m = random_mobius(rng)
         moved = {apply(m, a) for a in A}
         for Z, mZ in ((WHOLE, WHOLE), (SubsurfaceRef(core), SubsurfaceRef(apply(m, core)))):
-            holds = check_P(TORUS, A, l, k, Z).holds
-            assert check_P(TORUS, moved, l, k, mZ).holds == holds, (sorted(A), l, k, str(Z))
+            holds = check_P(TORUS, A, l, k, Z) is None
+            assert (check_P(TORUS, moved, l, k, mZ) is None) == holds, (sorted(A), l, k, str(Z))
             failures += not holds
     assert failures > 50
 
