@@ -54,7 +54,7 @@ class Config:
     """
 
     M: int = 100
-    delta: int = 17
+    delta: int = slices.DEFAULT_DELTA_HYP
     kind: SurfaceKind = SurfaceKind.TORUS_1_1
     seed: int = 0
     exact_digit_cap: int = bounds_mod.DEFAULT_DIGIT_CAP
@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--M", type=int, default=None, help="projection constant")
     parser.add_argument("--delta", type=int, default=None, help="hyperbolicity constant")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--digit-cap", type=int, default=bounds_mod.DEFAULT_DIGIT_CAP)
+    parser.add_argument("--digit-cap", type=int, default=Config.exact_digit_cap)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dist", help="curve-graph distance between two slopes")
@@ -184,10 +184,10 @@ _PARSER = _build_parser()
 
 def _config_from_args(args: argparse.Namespace) -> Config:
     return Config(
-        M=args.M if args.M is not None else _env_int("ULFP_M", 100),
-        delta=args.delta if args.delta is not None else _env_int("ULFP_DELTA", 17),
+        M=args.M if args.M is not None else _env_int("ULFP_M", Config.M),
+        delta=args.delta if args.delta is not None else _env_int("ULFP_DELTA", Config.delta),
         kind=SurfaceKind.TORUS_1_1 if args.kind == "torus" else SurfaceKind.SPHERE_0_4,
-        seed=args.seed if args.seed is not None else _env_int("ULFP_SEED", 0),
+        seed=args.seed if args.seed is not None else _env_int("ULFP_SEED", Config.seed),
         exact_digit_cap=args.digit_cap,
     )
 
@@ -234,6 +234,7 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
             budget=args.budget,
             seed=config.seed,
             delta_hyp=config.delta,
+            digit_cap=config.exact_digit_cap,
         )
         return verification.to_json()
     if cmd == "weak-index":

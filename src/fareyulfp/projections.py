@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .annular import annular_distance, twist_floors
 from .errors import PreconditionViolation
@@ -225,30 +225,28 @@ def _greedy_centers(
     return tuple(centers)
 
 
+def _subsurfaces(kind: SurfaceKind, members: Sequence[Slope]) -> Iterator[SubsurfaceRef]:
+    """Candidate subsurfaces in order, building the annuli only once WHOLE is done."""
+    yield WHOLE
+    if len(members) >= 2:
+        yield from candidate_subsurfaces(kind, members)[1:]
+
+
 def ulfp_witness(
     kind: SurfaceKind, A: Iterable[Slope], l: int, k: int
 ) -> UlfpCertificate:
-    """Constructive dichotomy: a far k-set, or greedy covers in every
-    checked subsurface (at most k-1 centers each, by maximality).
-
-    The only loop over the candidate subsurfaces: computed once, they
-    serve both the P checks, in order, and the covers.
-    """
+    """Constructive dichotomy, whole surface first: a far k-set, or greedy
+    covers in every candidate subsurface (k-1 centers at most, by maximality)."""
     _require_l_and_k(l, k)
     members = sorted(set(A))
-    if len(members) < 2:
-        return UlfpCertificate(covers=(CoverEntry(WHOLE, tuple(members), l),))
-    subsurfaces = candidate_subsurfaces(kind, members)
-    if len(members) >= k:
-        for Z in subsurfaces:
+    covers = []
+    for Z in _subsurfaces(kind, members):
+        if len(members) >= k:
             clique = check_P(kind, members, l, k, Z)
             if clique is not None:
                 return UlfpCertificate(witness=(clique, Z))
-    return UlfpCertificate(
-        covers=tuple(
-            CoverEntry(Z, _greedy_centers(kind, members, l, Z), l) for Z in subsurfaces
-        )
-    )
+        covers.append(CoverEntry(Z, _greedy_centers(kind, members, l, Z), l))
+    return UlfpCertificate(covers=tuple(covers))
 
 
 def lemma_co_construct(

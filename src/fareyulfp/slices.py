@@ -17,7 +17,14 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import BigBound, log10_upper, slice_bound_tight, slice_bound_weak, surface_for_kind
+from .bounds import (
+    DEFAULT_DIGIT_CAP,
+    BigBound,
+    log10_upper,
+    slice_bound_tight,
+    slice_bound_weak,
+    surface_for_kind,
+)
 from .errors import HypothesisViolation, InternalCheckFailure, PreconditionViolation
 from .farey import (
     Geodesic,
@@ -87,6 +94,15 @@ def weak_tight_slice(
     return frozenset(v for v in geodesic_vertices_within(a, b, low) if distance(v, c) <= delta)
 
 
+def _slice(
+    kind: SurfaceKind, a: Slope, b: Slope, c: Slope, delta: int, D: Optional[int]
+) -> frozenset[Slope]:
+    """The tight slice, or with D the weak-tight slice."""
+    if D is None:
+        return tight_slice(kind, a, b, c, delta)
+    return weak_tight_slice(kind, a, b, c, delta, D)
+
+
 @dataclass(frozen=True)
 class SampledSlice:
     """A certified SUBSET of a radius slice; never the exact set.
@@ -118,8 +134,10 @@ def radius_slice_sample(
     budget: int,
     seed: int,
     delta_hyp: int = DEFAULT_DELTA_HYP,
+    D: Optional[int] = None,
 ) -> SampledSlice:
-    """Union of tight slices over sampled endpoint pairs in N_r(a) x N_r(b).
+    """Union of tight slices, or with D of weak-tight slices, over sampled
+    endpoint pairs in N_r(a) x N_r(b).
 
     The distance hypothesis d(a, b) >= 2r + 2(3*delta_hyp + 2) + 1 is
     checked and recorded, never silently waived.
@@ -131,13 +149,13 @@ def radius_slice_sample(
     if budget == 0:
         return SampledSlice(frozenset(), 0, hypothesis_ok)
     if r == 0:
-        return SampledSlice(tight_slice(kind, a, b, c, delta), 1, hypothesis_ok)
+        return SampledSlice(_slice(kind, a, b, c, delta, D), 1, hypothesis_ok)
     rng = random.Random(seed)
     members: set[Slope] = set()
     for _ in range(budget):
         a2 = _random_ball_point(rng, a, r)
         b2 = _random_ball_point(rng, b, r)
-        members.update(tight_slice(kind, a2, b2, c, delta))
+        members.update(_slice(kind, a2, b2, c, delta, D))
     return SampledSlice(frozenset(members), budget, hypothesis_ok)
 
 
@@ -176,6 +194,7 @@ def verify_slice_bounds(
     budget: int = 32,
     seed: int = 0,
     delta_hyp: int = DEFAULT_DELTA_HYP,
+    digit_cap: int = DEFAULT_DIGIT_CAP,
 ) -> SliceVerification:
     """Compute a slice and check it against the matching surface bound.
 
@@ -189,14 +208,9 @@ def verify_slice_bounds(
     surface = surface_for_kind(kind)
     if D is not None and D < M:
         raise PreconditionViolation("weak-tight verification requires D >= M")
-    if query.r == 0:
-        if D is None:
-            members = tight_slice(kind, a, b, c, query.delta)
-            bound = slice_bound_tight(surface, M)[0]
-        else:
-            members = weak_tight_slice(kind, a, b, c, query.delta, D)
-            bound = slice_bound_weak(surface, D, M)[0]
-        exact = True
+    exact = query.r == 0
+    if exact:
+        members = _slice(kind, a, b, c, query.delta, D)
     else:
         j = 3 * delta_hyp + 2
         if distance(a, b) < 2 * query.r + 2 * j + 1:
@@ -206,15 +220,15 @@ def verify_slice_bounds(
         if distance(c, a) <= query.r + j or distance(c, b) <= query.r + j:
             raise HypothesisViolation("c must avoid the (r + j)-balls of a and b")
         sampled = radius_slice_sample(
-            kind, a, b, query.r, c, query.delta, budget, seed, delta_hyp
+            kind, a, b, query.r, c, query.delta, budget, seed, delta_hyp, D
         )
         members = sampled.members
-        bound = (
-            slice_bound_tight(surface, M)[1]
-            if D is None
-            else slice_bound_weak(surface, D, M)[1]
-        )
-        exact = False
+    pointwise, radius_form = (
+        slice_bound_tight(surface, M, digit_cap=digit_cap)
+        if D is None
+        else slice_bound_weak(surface, D, M, digit_cap=digit_cap)
+    )
+    bound = pointwise if exact else radius_form
     size_log10 = log10_upper(max(len(members), 1))
     margin = float(bound.log10_upper - size_log10)
     if len(members) > 0 and bound.exact is not None and len(members) > bound.exact:

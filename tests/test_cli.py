@@ -37,6 +37,7 @@ class TestConfig:
     def test_defaults(self):
         config = Config()
         assert config.M == 100 and config.delta == 17 and config.seed == 0
+        assert config.delta == fareyulfp.slices.DEFAULT_DELTA_HYP
 
 
 class TestCommands:
@@ -307,6 +308,13 @@ class TestDigitLimit:
         captured = capsys.readouterr()
         if code:
             assert captured.out == "" and captured.err.strip() == "error: invalid configuration value"
+
+    def test_slice_bound_honours_the_digit_cap(self, capsys):
+        capped = ["--digit-cap", "2", "--M", "1"]
+        out = invoke(capsys, [*capped, "slice", "1/0", "1/2", "0/1", "--delta", "1"])["outputs"]
+        argv = [*capped, "bounds", "--surface", "1,1", "--slice", "--l", "1", "--k", "2"]
+        bounds = invoke(capsys, argv)["outputs"]["bounds"]
+        assert out["bound"] == bounds[0] == "10^3.765818"
 
     def test_outputs_beyond_the_default_limit_print(self, capsys):
         # slopes that parse under the default 4 300-digit limit can have

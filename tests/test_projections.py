@@ -222,6 +222,35 @@ class TestUlfpWitness:
         cert = ulfp_witness(TORUS, [INFINITY, Slope(0, 1), Slope(1, 2)], 3, 100)
         assert cert.kind == "covered"
 
+    def test_a_whole_surface_witness_builds_no_annuli(self, monkeypatch):
+        def refuse(kind, A):
+            raise AssertionError("annuli built after a whole-surface witness")
+
+        monkeypatch.setattr(projections, "candidate_subsurfaces", refuse)
+        cert = ulfp_witness(TORUS, [INFINITY, Slope(1, 3), Slope(3, 8)], 2, 2)
+        assert cert.witness == (frozenset({INFINITY, Slope(3, 8)}), WHOLE)
+
+    def test_annuli_are_built_once_P_holds_on_the_whole_surface(self, monkeypatch):
+        A = [Slope(-2, 1), Slope(-2, 3), Slope(4, 5)]
+        order = candidate_subsurfaces(TORUS, A)
+        events = []
+
+        def building(kind, A):
+            events.append("build annuli")
+            return candidate_subsurfaces(kind, A)
+
+        def checking(kind, A, l, k, Z):
+            events.append(Z)
+            return check_P(kind, A, l, k, Z)
+
+        monkeypatch.setattr(projections, "candidate_subsurfaces", building)
+        monkeypatch.setattr(projections, "check_P", checking)
+        curves, Z = ulfp_witness(TORUS, A, 4, 2).witness
+        assert Z == SubsurfaceRef(Slope(-1, 1)) and curves == {Slope(-2, 1), Slope(-2, 3)}
+        # P is checked on exactly the candidates up to the witness, in order
+        assert events == [WHOLE, "build annuli", *order[1 : order.index(Z) + 1]]
+        assert 3 <= order.index(Z) < len(order) - 1
+
     def test_certificate_validation(self):
         from fareyulfp.projections import UlfpCertificate
 

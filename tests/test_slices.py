@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from corpus import far_pair_corpus
-from fareyulfp import farey
+from fareyulfp import farey, slices
 from fareyulfp.cli import run
 from fareyulfp.errors import HypothesisViolation, PreconditionViolation
 from fareyulfp.farey import Geodesic, INFINITY, Slope, SurfaceKind, distance, geodesic_vertices, geodesics
@@ -130,6 +130,12 @@ class TestRadiusSliceSample:
         assert sampled.members == tight_slice(TORUS, a, b, c, 2)
         assert sampled.pairs_sampled == 1
 
+    def test_radius_zero_with_D_is_the_weak_tight_slice(self):
+        a, b = far_pair_corpus(8, 1)[0]
+        c = sorted(geodesic_vertices(a, b))[0]
+        sampled = radius_slice_sample(TORUS, a, b, 0, c, 2, 16, seed=0, D=1)
+        assert sampled.members == weak_tight_slice(TORUS, a, b, c, 2, 1)
+
     def test_deterministic_under_seed(self):
         a, b = far_pair_corpus(9, 1)[0]
         c = sorted(geodesic_vertices(a, b))[0]
@@ -195,6 +201,28 @@ class TestVerifySliceBounds:
         assert not result.exact
         assert result.bound.exact is not None
         assert len(result.members) <= result.bound.exact
+
+    def test_weak_radius_form_samples_weak_tight_slices(self, monkeypatch):
+        # `ulfp --M 1 --delta 0 slice --r 1 --weak-D 1 --budget 8 --delta 1`
+        a, b, c = Slope(-4, 7), Slope(-3457, 4792), Slope(-57, 79)
+        query = SliceQuery(a, b, c, 1, r=1)
+        sampled_pairs = {}
+        for name in ("tight_slice", "weak_tight_slice"):
+            real = getattr(slices, name)
+            pairs = sampled_pairs[name] = []
+
+            def recording(kind, x, y, *rest, real=real, pairs=pairs):
+                pairs.append((x, y))
+                return real(kind, x, y, *rest)
+
+            monkeypatch.setattr(slices, name, recording)
+        tight = verify_slice_bounds(TORUS, query, M=1, budget=8, delta_hyp=0)
+        weak = verify_slice_bounds(TORUS, query, M=1, D=1, budget=8, delta_hyp=0)
+        pairs = sampled_pairs["weak_tight_slice"]
+        assert pairs == sampled_pairs["tight_slice"] and len(pairs) == 8
+        union = set().union(*(weak_tight_slice(TORUS, x, y, c, 1, 1) for x, y in pairs))
+        assert weak.members == union == set()
+        assert len(tight.members) == 4 and weak.weak_D == 1
 
 
 def test_vertex_sets_are_read_without_enumerating_paths(monkeypatch, capsys, tmp_path):
