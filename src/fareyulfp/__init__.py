@@ -55,7 +55,6 @@ from .projections import (
     ulfp_witness,
 )
 from .slices import (
-    SampledSlice,
     SliceQuery,
     WeakTightReport,
     radius_slice_sample,

@@ -60,9 +60,17 @@ class Config:
     exact_digit_cap: int = bounds_mod.DEFAULT_DIGIT_CAP
 
     def __post_init__(self) -> None:
-        # run() sets the int-to-str digit limit, a C int, to the cap plus 100
+        # _digit_cap sets the int-to-str digit limit, a C int, to the cap plus 100
         if self.M <= 0 or self.delta < 0 or not 0 < self.exact_digit_cap <= 2**31 - 101:
             raise PreconditionViolation("invalid configuration value")
+
+
+def _digit_cap(value: str | int) -> int:
+    """Reads a digit cap and sets the int-to-str digit limit, a C int, to it
+    plus 100 (at least 10 000) at once, so the slopes after it parse under it."""
+    cap = int(value)
+    sys.set_int_max_str_digits(max(min(cap, 2**31 - 101) + 100, 10_000))
+    return cap
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -121,7 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--M", type=int, default=None, help="projection constant")
     parser.add_argument("--delta", type=int, default=None, help="hyperbolicity constant")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--digit-cap", type=int, default=Config.exact_digit_cap)
+    digit_cap = _argument_type("digit cap", _digit_cap)
+    parser.add_argument("--digit-cap", type=digit_cap, default=Config.exact_digit_cap)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dist", help="curve-graph distance between two slopes")
@@ -287,12 +296,12 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
 
 
 def run(argv: list[str]) -> int:
-    args = _PARSER.parse_args(argv)
-    started = time.monotonic()
     limit = sys.get_int_max_str_digits()
     try:
+        _digit_cap(Config.exact_digit_cap)  # the default, until a --digit-cap is read
+        args = _PARSER.parse_args(argv)
+        started = time.monotonic()
         config = _config_from_args(args)
-        sys.set_int_max_str_digits(max(config.exact_digit_cap + 100, 10_000))
         outputs = _dispatch(args, config)
     except PreconditionViolation as exc:
         print(f"error: {exc}", file=sys.stderr)

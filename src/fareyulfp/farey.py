@@ -17,15 +17,16 @@ walk, the sum of the partial quotients, and its distance is checked
 against the Euclidean one.
 
 It is built on the candidate closure: the pivot strip (the crossed
-triangles, whose edges the walk lists) plus the third vertex of each
-triangle on a strip edge.  An edge u -- w bounds exactly two triangles,
-with third vertices u + w and u - w, so the closure graph is read off the
-walk.  It misses no Farey edge between closure vertices.  The strip is an
-ideal polygon triangulated by its walk edges, and Farey edges never cross,
-so an edge joining two pivots is a walk edge; an added vertex sits alone
-in the arc that its boundary edge u -- w cuts off, so its edges end at u or
-w.  The tests check this graph against a determinant scan, and the
-:mod:`fareyulfp.boxgraph` oracle checks that the closure loses nothing.
+triangles, whose edges the walk lists) plus the third vertex, u + w or
+u - w, of each triangle on a strip edge u -- w, so its graph is read off
+the walk.  The closure is complete, by proof.  The strip is an ideal
+polygon triangulated by its walk edges, and Farey edges never cross, so an
+edge joining two pivots is a walk edge.  An added vertex sits alone in the
+arc that its edge u -- w cuts off, and every edge out of that arc ends at u
+or w.  So the closure misses no Farey edge between its vertices, and no
+geodesic leaves the strip: a path enters the arc from u or w and returns to
+u or w at least two steps later, though d(u, w) = 1.  The tests check it
+against a determinant scan and the box oracle.
 """
 
 from __future__ import annotations
@@ -369,11 +370,8 @@ def _ladder_paths(levels: Levels) -> Iterator[tuple[Slope, ...]]:
 
 
 def geodesics(x: Slope, y: Slope) -> frozenset[Geodesic]:
-    """All geodesics between x and y found in the candidate closure.
-
-    Closure completeness is an engineering hypothesis, not a theorem; the
-    test suite cross-validates against exhaustive path enumeration.
-    """
+    """All geodesics between x and y, walked down the ladder; the module
+    docstring proves that the candidate closure under it holds them all."""
     return frozenset(Geodesic(path) for path in _ladder_paths(geodesic_levels(x, y)))
 
 

@@ -55,7 +55,6 @@ class SliceQuery:
 
 @dataclass(frozen=True)
 class WeakTightReport:
-    geodesic: Geodesic
     index: int
     attaining: Optional[tuple[Slope, Slope]]  # (vertex, core)
 
@@ -81,7 +80,7 @@ def weak_tight_index(kind: SurfaceKind, g: Geodesic) -> WeakTightReport:
     x, y = g.start, g.end
     if g.length <= 2:
         raise PreconditionViolation("weak-tight index needs endpoint distance > 2")
-    return WeakTightReport(g, *first_max_gap(vertex_gaps(kind, x, y), g.vertices))
+    return WeakTightReport(*first_max_gap(vertex_gaps(kind, x, y), g.vertices))
 
 
 def weak_tight_slice(
@@ -103,20 +102,6 @@ def _slice(
     return weak_tight_slice(kind, a, b, c, delta, D)
 
 
-@dataclass(frozen=True)
-class SampledSlice:
-    """A certified SUBSET of a radius slice; never the exact set.
-
-    Radius balls in a locally infinite graph are infinite, so only
-    sampled endpoint pairs contribute and the cardinality is a lower
-    bound.
-    """
-
-    members: frozenset[Slope]
-    pairs_sampled: int
-    hypothesis_ok: bool
-
-
 def _random_ball_point(rng: random.Random, center: Slope, r: int) -> Slope:
     v = center
     for _ in range(rng.randint(0, r)):
@@ -133,30 +118,22 @@ def radius_slice_sample(
     delta: int,
     budget: int,
     seed: int,
-    delta_hyp: int = DEFAULT_DELTA_HYP,
     D: Optional[int] = None,
-) -> SampledSlice:
-    """Union of tight slices, or with D of weak-tight slices, over sampled
-    endpoint pairs in N_r(a) x N_r(b).
-
-    The distance hypothesis d(a, b) >= 2r + 2(3*delta_hyp + 2) + 1 is
-    checked and recorded, never silently waived.
+) -> frozenset[Slope]:
+    """Union of tight slices, or with D of weak-tight slices, over ``budget``
+    sampled endpoint pairs in N_r(a) x N_r(b): a certified SUBSET of the
+    radius slice, never the exact set, since radius balls are infinite.
+    ``verify_slice_bounds`` checks the radius form's hypotheses.
     """
     if budget < 0:
         raise PreconditionViolation("budget must be nonnegative")
-    j = 3 * delta_hyp + 2
-    hypothesis_ok = distance(a, b) >= 2 * r + 2 * j + 1
-    if budget == 0:
-        return SampledSlice(frozenset(), 0, hypothesis_ok)
-    if r == 0:
-        return SampledSlice(_slice(kind, a, b, c, delta, D), 1, hypothesis_ok)
     rng = random.Random(seed)
     members: set[Slope] = set()
     for _ in range(budget):
         a2 = _random_ball_point(rng, a, r)
         b2 = _random_ball_point(rng, b, r)
         members.update(_slice(kind, a2, b2, c, delta, D))
-    return SampledSlice(frozenset(members), budget, hypothesis_ok)
+    return frozenset(members)
 
 
 @dataclass(frozen=True)
@@ -219,10 +196,7 @@ def verify_slice_bounds(
             )
         if distance(c, a) <= query.r + j or distance(c, b) <= query.r + j:
             raise HypothesisViolation("c must avoid the (r + j)-balls of a and b")
-        sampled = radius_slice_sample(
-            kind, a, b, query.r, c, query.delta, budget, seed, delta_hyp, D
-        )
-        members = sampled.members
+        members = radius_slice_sample(kind, a, b, query.r, c, query.delta, budget, seed, D)
     pointwise, radius_form = (
         slice_bound_tight(surface, M, digit_cap=digit_cap)
         if D is None

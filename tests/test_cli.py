@@ -316,6 +316,20 @@ class TestDigitLimit:
         bounds = invoke(capsys, argv)["outputs"]["bounds"]
         assert out["bound"] == bounds[0] == "10^3.765818"
 
+    def test_argv_slopes_parse_under_the_digit_cap(self, capsys):
+        # (10^4400 + 1)/10^4400, too long for the default 4 300-digit limit;
+        # a file of slopes is read under the cap, so the command line is too
+        big = "1" + "0" * 4399 + "1/1" + "0" * 4400
+        assert invoke(capsys, ["dist", "1/0", big])["outputs"]["distance"] == 2
+        longer = "1" + "0" * 10_001 + "/1"  # past the 10 000-digit floor of the limit
+        before = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit) as exit_info:
+            run(["--digit-cap", "1", "dist", "1/0", longer])
+        assert exit_info.value.code == 2 and sys.get_int_max_str_digits() == before
+        assert "Exceeds the limit" in capsys.readouterr().err
+        report = invoke(capsys, ["--digit-cap", "20000", "dist", "1/0", longer])
+        assert report["outputs"]["distance"] == 1
+
     def test_outputs_beyond_the_default_limit_print(self, capsys):
         # slopes that parse under the default 4 300-digit limit can have
         # twist coordinates far longer than it

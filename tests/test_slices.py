@@ -120,21 +120,19 @@ class TestWeakTightSlice:
 class TestRadiusSliceSample:
     def test_budget_zero_is_empty(self):
         a, b = far_pair_corpus(8, 1)[0]
-        sampled = radius_slice_sample(TORUS, a, b, 1, a, 2, 0, seed=0)
-        assert sampled.members == frozenset() and sampled.pairs_sampled == 0
+        assert radius_slice_sample(TORUS, a, b, 1, a, 2, 0, seed=0) == frozenset()
 
     def test_radius_zero_is_the_tight_slice(self):
         a, b = far_pair_corpus(8, 1)[0]
         c = sorted(geodesic_vertices(a, b))[0]
         sampled = radius_slice_sample(TORUS, a, b, 0, c, 2, 16, seed=0)
-        assert sampled.members == tight_slice(TORUS, a, b, c, 2)
-        assert sampled.pairs_sampled == 1
+        assert sampled == tight_slice(TORUS, a, b, c, 2)
 
     def test_radius_zero_with_D_is_the_weak_tight_slice(self):
         a, b = far_pair_corpus(8, 1)[0]
         c = sorted(geodesic_vertices(a, b))[0]
         sampled = radius_slice_sample(TORUS, a, b, 0, c, 2, 16, seed=0, D=1)
-        assert sampled.members == weak_tight_slice(TORUS, a, b, c, 2, 1)
+        assert sampled == weak_tight_slice(TORUS, a, b, c, 2, 1)
 
     def test_deterministic_under_seed(self):
         a, b = far_pair_corpus(9, 1)[0]
@@ -142,13 +140,6 @@ class TestRadiusSliceSample:
         one = radius_slice_sample(TORUS, a, b, 1, c, 2, 8, seed=5)
         two = radius_slice_sample(TORUS, a, b, 1, c, 2, 8, seed=5)
         assert one == two
-
-    def test_hypothesis_flag_reflects_distance_gap(self):
-        a, b = far_pair_corpus(9, 1)[0]  # distance <= 6, far below the gap
-        sampled = radius_slice_sample(TORUS, a, b, 1, a, 2, 4, seed=0)
-        assert not sampled.hypothesis_ok
-        near = radius_slice_sample(TORUS, a, b, 0, a, 2, 4, seed=0, delta_hyp=0)
-        assert near.hypothesis_ok == (distance(a, b) >= 5)
 
 
 class TestVerifySliceBounds:
@@ -186,6 +177,19 @@ class TestVerifySliceBounds:
         query = SliceQuery(a, b, c, 1, r=1)
         with pytest.raises(HypothesisViolation):
             verify_slice_bounds(TORUS, query, M=1)
+
+    def test_radius_form_demands_c_clear_of_the_enlarged_balls(self, capsys):
+        # delta_hyp = 0 and r = 1 give j = 2: a distance-8 pair meets the
+        # gap d(a, b) >= 7, but c at distance 2 from a lies in its 3-ball
+        a, b = far_pair_corpus(11, 1, 8, 8)[0]
+        c = next(v for v in sorted(geodesic_vertices(a, b)) if distance(a, v) == 2)
+        query = SliceQuery(a, b, c, 1, r=1)
+        with pytest.raises(HypothesisViolation, match=r"c must avoid the \(r \+ j\)-balls"):
+            verify_slice_bounds(TORUS, query, M=1, budget=8, delta_hyp=0)
+        argv = ["--M", "1", "--delta", "0", "slice", "--r", "1", "--delta", "1"]
+        assert run([*argv, "--", str(a), str(b), str(c)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "c must avoid the (r + j)-balls" in captured.err
 
     def test_radius_form_with_tiny_delta_hyp(self):
         # With delta_hyp = 0 and r = 1 the gap is d(a, b) >= 7 and c must
