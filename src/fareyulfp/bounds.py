@@ -179,15 +179,43 @@ def _chain_exact(xi: int, l: int, k: int, M: int, torus: bool) -> int:
 
 
 def _chain_log10(xi: int, l: int, k: int, M: int, torus: bool) -> Fraction:
-    """The log10 envelope of ``_chain_exact``, in integer steps over one denominator."""
+    """The log10 envelope of ``_chain_exact``, in integer steps over one denominator.
+
+    Each step v <- (L + 1)(add + v) is the affine map (L + 1, (L + 1) add).
+    """
     first, *rest = _levels(xi, l, M)
     start = (first + 1) * log10_upper(_base(first, k, M, torus))
     step = _LOG10_2_UPPER + _SLACK
-    den = math.lcm(start.denominator, step.denominator)  # no gcd in the loop
+    den = math.lcm(start.denominator, step.denominator)  # no gcd in the chain
     value, add = (f.numerator * (den // f.denominator) for f in (start, step))
-    for L in rest:
-        value = (L + 1) * (add + value)
-    return Fraction(value, den)
+    return Fraction(_apply([(L + 1, (L + 1) * add) for L in rest], value), den)
+
+
+def _apply(maps: list[tuple[int, int]], value: int) -> int:
+    """``value`` after the affine maps (A, B), v -> A v + B, first to last.
+
+    Step by step, each product would have one operand that keeps growing,
+    so the chain would cost quadratic time.  Instead the second half is
+    composed into one map and applied to the first half's result, so the
+    large products have operands of about equal size.
+    """
+    if len(maps) <= 1:
+        for A, B in maps:
+            value = A * value + B
+        return value
+    mid = len(maps) // 2
+    A, B = _compose(maps[mid:])
+    return A * _apply(maps[:mid], value) + B
+
+
+def _compose(maps: list[tuple[int, int]]) -> tuple[int, int]:
+    """The one affine map that applies ``maps`` first to last, by a balanced
+    product tree: (A2, B2) after (A1, B1) is (A2 A1, A2 B1 + B2)."""
+    if len(maps) == 1:
+        return maps[0]
+    mid = len(maps) // 2
+    (A1, B1), (A2, B2) = _compose(maps[:mid]), _compose(maps[mid:])
+    return A2 * A1, A2 * B1 + B2
 
 
 def n_bound(

@@ -5,11 +5,22 @@ vertices are all reduced slopes with |p|, q <= bound (plus 1/0), adjacency
 is computed directly from the determinant condition, and distances come
 from plain breadth-first search.  Disagreement between the two routes is
 a hard failure, never silently resolved.
+
+The maps x -> -x, 1/x and -1/x, the integer matrices (-1, 0; 0, 1),
+(0, 1; 1, 0) and (0, -1; 1, 0), generate a group of order four that acts
+on the box: each sends {1/0} and the slopes with |p|, q <= bound onto
+themselves.  A matrix of determinant +-1 keeps |det(v, w)|, so each map
+keeps adjacency and d(x, y) = d(gx, gy).  One search per orbit of this
+group therefore fills every distance map: the others are permutations of
+a searched map.  The oracle stays independent of ``farey``: it uses three
+fixed matrices of the box, not the Bezout normalizer, and every map
+still comes from a breadth-first search on the box.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 
 from .farey import INFINITY, Slope
@@ -31,6 +42,17 @@ class BoxGraph:
         self.index = {v: i for i, v in enumerate(vertices)}
         self._adjacency = [self._solve_neighbors(v) for v in vertices]
         self._dist_cache: dict[int, array] = {}
+        # (image, permute) per symmetry g: image[i] is the index of g(vertices[i]),
+        # and permute reads a map from g(src) as the map from src
+        self._symmetries = []
+        for a, b, c, d in ((-1, 0, 0, 1), (0, 1, 1, 0), (0, -1, 1, 0)):
+            image = []
+            for v in vertices:
+                r, s = a * v.p + b * v.q, c * v.p + d * v.q
+                if s < 0 or (s == 0 and r < 0):
+                    r, s = -r, -s
+                image.append(self.index[Slope(r, s)])
+            self._symmetries.append((image, operator.itemgetter(*image)))
 
     def _solve_neighbors(self, v: Slope) -> list[int]:
         """All box slopes w with |det(v, w)| = 1, by the Bezout line."""
@@ -64,12 +86,24 @@ class BoxGraph:
         """BFS distances from source to every box vertex (-1 if unreached).
 
         One signed byte per vertex: box diameters are far below 127, and a
-        larger distance raises OverflowError rather than wrap.
+        larger distance raises OverflowError rather than wrap.  A map already
+        searched from g(source), for a symmetry g, is permuted instead.
         """
         src = self.index[source]
         cached = self._dist_cache.get(src)
         if cached is not None:
             return cached
+        cache = self._dist_cache
+        for image, permute in self._symmetries:
+            mirror = cache.get(image[src])
+            if mirror is not None:
+                cached = cache[src] = array("b", bytes(permute(mirror.tobytes())))
+                return cached
+        cached = cache[src] = self._search(src)
+        return cached
+
+    def _search(self, src: int) -> array:
+        """The breadth-first distance map from vertex index src."""
         # searched as a list, which indexes faster; 255 is -1 as a signed byte
         dist = [255] * len(self.vertices)
         dist[src] = 0
@@ -87,8 +121,7 @@ class BoxGraph:
             frontier = nxt
         if level > 128:  # the last level reached is level - 1
             raise OverflowError(f"box distance {level - 1} does not fit in a signed byte")
-        compact = self._dist_cache[src] = array("b", bytearray(dist))
-        return compact
+        return array("b", bytearray(dist))
 
     def distance(self, x: Slope, y: Slope) -> int:
         d = self.distance_map(y)[self.index[x]]

@@ -155,13 +155,18 @@ def check_P(
                 graph[x].add(y)
                 graph[y].add(x)
         far: FarRelation = lambda y, z: z in graph[y]
-    else:
-        floors = twist_floors(kind, Z.core, set(A))
-        if _largest_far_count(floors.values(), l) < k:
-            return None
-        members = sorted(floors)
-        far = _annular_far(floors, l)
-    return _find_clique(members, far, k)
+        return _find_clique(members, far, k)
+    return _check_annulus(kind, A, l, k, Z)[1]
+
+
+def _check_annulus(
+    kind: SurfaceKind, A: Iterable[Slope], l: int, k: int, Z: SubsurfaceRef
+) -> tuple[dict[Slope, int], Optional[frozenset[Slope]]]:
+    """The twist floors of A in the annulus Z, and ``check_P``'s answer read from them."""
+    floors = twist_floors(kind, Z.core, A)
+    if _largest_far_count(floors.values(), l) < k:
+        return floors, None
+    return floors, _find_clique(sorted(floors), _annular_far(floors, l), k)
 
 
 @dataclass(frozen=True)
@@ -207,17 +212,8 @@ class UlfpCertificate:
         }
 
 
-def _greedy_centers(
-    kind: SurfaceKind, members: Sequence[Slope], l: int, Z: SubsurfaceRef
-) -> tuple[Slope, ...]:
-    """Maximal pairwise->l subset of the projecting members, ascending order."""
-    if Z.is_whole:
-        projecting = list(members)
-        far: FarRelation = lambda v, c: distance(v, c) > l
-    else:
-        floors = twist_floors(kind, Z.core, members)
-        projecting = [v for v in members if v in floors]
-        far = _annular_far(floors, l)
+def _greedy_centers(projecting: Sequence[Slope], far: FarRelation) -> tuple[Slope, ...]:
+    """Maximal pairwise-far subset of the projecting members, in their order."""
     centers: list[Slope] = []
     for v in projecting:
         if all(far(v, c) for c in centers):
@@ -241,11 +237,19 @@ def ulfp_witness(
     members = sorted(set(A))
     covers = []
     for Z in _subsurfaces(kind, members):
-        if len(members) >= k:
-            clique = check_P(kind, members, l, k, Z)
-            if clique is not None:
-                return UlfpCertificate(witness=(clique, Z))
-        covers.append(CoverEntry(Z, _greedy_centers(kind, members, l, Z), l))
+        if Z.is_whole:
+            clique = check_P(kind, members, l, k, Z) if len(members) >= k else None
+            projecting, far = members, lambda v, c: distance(v, c) > l
+        else:
+            # one floors map per annulus decides P and builds the cover
+            if len(members) >= k:
+                floors, clique = _check_annulus(kind, members, l, k, Z)
+            else:
+                floors, clique = twist_floors(kind, Z.core, members), None
+            projecting, far = list(floors), _annular_far(floors, l)
+        if clique is not None:
+            return UlfpCertificate(witness=(clique, Z))
+        covers.append(CoverEntry(Z, _greedy_centers(projecting, far), l))
     return UlfpCertificate(covers=tuple(covers))
 
 

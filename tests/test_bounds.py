@@ -305,6 +305,27 @@ class TestChainLog10:
         assert bounds._chain_log10(xi, 1, 2, 100, torus) == _fraction_steps(xi, 1, 2, 100, torus)
 
 
+    @pytest.mark.parametrize(
+        "xi, torus", [(1, True)] + [(xi, False) for xi in (1, 2, 3, 4, 5, 17, 256, 300, 513)]
+    )
+    def test_product_tree_matches_the_step_loop(self, xi, torus):
+        for l, k, M in ((1, 2, 100), (3, 5, 1), (2, 3, 7)):
+            got = bounds._chain_log10(xi, l, k, M, torus)
+            assert got == _integer_steps(xi, l, k, M, torus)
+
+
+def _integer_steps(xi: int, l: int, k: int, M: int, torus: bool) -> Fraction:
+    """The log10 chain step by step, in integers over one denominator."""
+    first, *rest = range(l + 2 * M * (xi - 1), l - 1, -2 * M)
+    start = (first + 1) * log10_upper((first + 2 * M + 2) * k * (1 if torus else 2))
+    step = bounds._LOG10_2_UPPER + bounds._SLACK
+    den = math.lcm(start.denominator, step.denominator)
+    value, add = (f.numerator * (den // f.denominator) for f in (start, step))
+    for L in rest:
+        value = (L + 1) * (add + value)
+    return Fraction(value, den)
+
+
 def _fraction_steps(xi: int, l: int, k: int, M: int, torus: bool) -> Fraction:
     """The log10 chain with every step a ``Fraction`` sum, normalized as it goes."""
     first, *rest = range(l + 2 * M * (xi - 1), l - 1, -2 * M)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+from array import array
 from itertools import combinations
 from typing import Iterable
 
@@ -368,6 +369,39 @@ class TestDistance:
         assert fits[127] == 127 and fits[128] == -1
         with pytest.raises(OverflowError):
             as_path(BoxGraph(12), 129).distance_map(INFINITY)
+
+
+    @pytest.mark.parametrize("bound", [16, 26])
+    def test_box_maps_equal_a_plain_search_in_any_order(self, bound):
+        # a map may be permuted from a symmetric source's map; the reference searches each
+        reference = BoxGraph(bound)
+        vertices, index = reference.vertices, reference.index
+        adjacency = [[index[w] for w in reference.neighbors(v)] for v in vertices]
+        expected = []
+        for source in range(len(vertices)):
+            dist = bfs(adjacency, source)
+            expected.append(array("b", [dist.get(i, -1) for i in range(len(vertices))]))
+        for order in (vertices, vertices[::-1]):
+            box = BoxGraph(bound)
+            for source in order:
+                got = box.distance_map(source)
+                assert got.typecode == "b" and got == expected[box.index[source]], source
+
+    def test_sweep_targets_take_one_search_per_orbit(self, monkeypatch):
+        searched = []
+        search = BoxGraph._search
+
+        def counting(box, src):
+            searched.append(src)
+            return search(box, src)
+
+        monkeypatch.setattr(BoxGraph, "_search", counting)
+        box = BoxGraph(42)
+        targets = slopes_with_denominator_up_to(21)
+        for target in targets:
+            box.distance_map(target)
+        # orbits of x -> -x, 1/x, -1/x: 139 of four and {1/0, 0/1}, {1/1, -1/1}
+        assert len(targets) == 560 and len(searched) == 141
 
 
 class TestGeodesics:

@@ -20,7 +20,7 @@ from corpus import (
     random_slope,
 )
 from fareyulfp import projections
-from fareyulfp.annular import annular_distance
+from fareyulfp.annular import annular_distance, twist_floors
 from fareyulfp.errors import PreconditionViolation
 from fareyulfp.farey import INFINITY, Slope, SurfaceKind, apply, distance, geodesics
 from fareyulfp.projections import (
@@ -144,19 +144,31 @@ class TestCheckP:
                 assert proj_distance(TORUS, Z, x, y) > 2
 
 
+def record_checks(monkeypatch, events: list) -> list:
+    """Append to events each subsurface on which ulfp_witness decides P.
+
+    It decides the whole surface by ``check_P``, and each annulus by
+    ``_check_annulus``, which keeps the floors map for the cover.
+    """
+
+    def recording(decide):
+        def decided(kind, A, l, k, Z):
+            events.append(Z)
+            return decide(kind, A, l, k, Z)
+
+        return decided
+
+    for name in ("check_P", "_check_annulus"):
+        monkeypatch.setattr(projections, name, recording(getattr(projections, name)))
+    return events
+
+
 class TestCheckPAll:
     """P over all candidate subsurfaces, decided by the loop in ulfp_witness."""
 
     @staticmethod
     def count_checks(monkeypatch) -> list:
-        checked = []
-
-        def counting(kind, A, l, k, Z):
-            checked.append(Z)
-            return check_P(kind, A, l, k, Z)
-
-        monkeypatch.setattr(projections, "check_P", counting)
-        return checked
+        return record_checks(monkeypatch, [])
 
     def test_vacuous_small_sets(self, monkeypatch):
         checked = self.count_checks(monkeypatch)
@@ -239,17 +251,27 @@ class TestUlfpWitness:
             events.append("build annuli")
             return candidate_subsurfaces(kind, A)
 
-        def checking(kind, A, l, k, Z):
-            events.append(Z)
-            return check_P(kind, A, l, k, Z)
-
         monkeypatch.setattr(projections, "candidate_subsurfaces", building)
-        monkeypatch.setattr(projections, "check_P", checking)
+        record_checks(monkeypatch, events)
         curves, Z = ulfp_witness(TORUS, A, 4, 2).witness
         assert Z == SubsurfaceRef(Slope(-1, 1)) and curves == {Slope(-2, 1), Slope(-2, 3)}
         # P is checked on exactly the candidates up to the witness, in order
         assert events == [WHOLE, "build annuli", *order[1 : order.index(Z) + 1]]
         assert 3 <= order.index(Z) < len(order) - 1
+
+    def test_each_annulus_takes_one_floors_map(self, monkeypatch):
+        cores = []
+
+        def counting(kind, core, curves):
+            cores.append(core)
+            return twist_floors(kind, core, curves)
+
+        monkeypatch.setattr(projections, "twist_floors", counting)
+        A = [Slope(0, 1), Slope(1, 1), Slope(1, 2), Slope(2, 3), INFINITY]
+        cert = ulfp_witness(TORUS, A, 40, 3)
+        annuli = [entry.subsurface.core for entry in cert.covers[1:]]
+        assert cert.kind == "covered" and len(annuli) == 5
+        assert cores == annuli
 
     def test_certificate_validation(self):
         from fareyulfp.projections import UlfpCertificate
