@@ -39,7 +39,6 @@ from .graphcore import (
     BallCoverCertificate,
     FiniteGraph,
     SeparatedWitness,
-    check_ulfp_theorem,
     greedy_separated,
     ulf_bound,
 )

@@ -8,7 +8,6 @@ witness is guaranteed.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -176,40 +175,3 @@ def greedy_separated(
         chosen_balls.append(graph.ball(v, l))
     return BallCoverCertificate(tuple(chosen), l)
 
-
-@dataclass(frozen=True)
-class UlfpTheoremReport:
-    trials: int
-    witnesses: int
-    failures: int
-    skipped: int
-    bound: int
-
-
-def check_ulfp_theorem(
-    graph: FiniteGraph, trials: int, l: int, k: int, seed: int
-) -> UlfpTheoremReport:
-    """Sample vertex sets above the counting bound and demand witnesses.
-
-    Trials where no component can hold a set larger than the bound are
-    recorded as skipped rather than failed.
-    """
-    rng = random.Random(seed)
-    bound = ulf_bound(graph.max_valency(), l, k)
-    components: dict[int, list[int]] = {}
-    for v, c in enumerate(graph.component_labels):
-        components.setdefault(c, []).append(v)
-    roomy = [vs for vs in components.values() if len(vs) > bound]
-    witnesses = failures = skipped = 0
-    for _ in range(trials):
-        if not roomy:
-            skipped += 1
-            continue
-        pool = rng.choice(roomy)
-        A = rng.sample(pool, bound + 1)
-        result = greedy_separated(graph, A, l, k)
-        if isinstance(result, SeparatedWitness):
-            witnesses += 1
-        else:
-            failures += 1
-    return UlfpTheoremReport(trials, witnesses, failures, skipped, bound)

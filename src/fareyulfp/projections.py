@@ -11,10 +11,13 @@ fails silently for l <= 2.  With l = k = 2, {-1/1, 0/1} is certified
 covered, yet the two are 3 apart in the annulus around 1/0, the third
 vertex of their Farey triangle (ROADMAP.md, "Property P off the hulls").
 
-On an annulus every projection is one integer, the twist floor, and two
-distinct curves are more than l apart exactly when their floors differ by
-at least l - 1.  P on an annulus is therefore decided by a sorted greedy
-pass over the floors; the clique search only runs to name the witness.
+One decider serves every subsurface: a clique search for the first far
+k-set in slope order, cut wherever the subsurface's own bound on the size
+of a far set cannot reach k.  On an annulus every projection is one
+integer, the twist floor, and two distinct curves are more than l apart
+exactly when their floors differ by at least l - 1.  So the sorted greedy
+over the floors bounds the search exactly on annuli, and there the search
+never enters a branch that fails.
 """
 
 from __future__ import annotations
@@ -78,11 +81,6 @@ def candidate_subsurfaces(
 FarRelation = Callable[[Slope, Slope], bool]
 
 
-def _annular_far(floors: dict[Slope, int], l: int) -> FarRelation:
-    """d_Z(y, z) > l for distinct curves projecting to Z, from their floors."""
-    return lambda y, z: abs(floors[y] - floors[z]) + 2 > l
-
-
 def _largest_far_count(floors: Iterable[int], l: int) -> int:
     """Size of a largest set of distinct curves pairwise more than l apart.
 
@@ -98,18 +96,25 @@ def _largest_far_count(floors: Iterable[int], l: int) -> int:
 
 
 def _find_clique(
-    members: Sequence[Slope], far: FarRelation, k: int
+    members: Sequence[Slope], far: FarRelation, bound: Callable[[Sequence[Slope]], int], k: int
 ) -> Optional[frozenset[Slope]]:
-    """Exact k-clique search on the far-pair graph (small k, small sets)."""
+    """The first k members in combinations order that are pairwise far, or None.
+
+    ``bound`` caps the size of any far set among a list of members, and
+    every branch it puts below k is cut: ``len`` is the plain search, and
+    with an exact bound no branch is entered that fails.
+    """
+    if bound(members) < k:
+        return None
 
     def extend(clique: list[Slope], candidates: list[Slope]) -> Optional[frozenset[Slope]]:
         if len(clique) == k:
             return frozenset(clique)
-        if len(clique) + len(candidates) < k:
-            return None
         for i, v in enumerate(candidates):
-            clique.append(v)
             narrowed = [w for w in candidates[i + 1 :] if far(v, w)]
+            if len(clique) + 1 + bound(narrowed) < k:
+                continue
+            clique.append(v)
             found = extend(clique, narrowed)
             if found is not None:
                 return found
@@ -141,32 +146,38 @@ def check_P(
     witness, the first k projecting curves in slope order that are
     pairwise more than l apart in Z.
 
-    Curves with empty projection to Z are skipped.  On the whole surface
-    the decision is a clique search on the threshold graph.  On an
-    annulus a greedy pass over the twist floors decides it, and the same
-    clique search runs only when P fails, to name the witness.
+    Curves with empty projection to Z are skipped.  The decision is a
+    clique search on the far-pair graph; on an annulus the sorted greedy
+    over the twist floors bounds the search exactly.
     """
     _require_l_and_k(l, k, MAX_CLIQUE_K)
+    return _decide(kind, sorted(set(A)), l, k, Z)[2]
+
+
+def _decide(
+    kind: SurfaceKind, members: Sequence[Slope], l: int, k: int, Z: SubsurfaceRef
+) -> tuple[Sequence[Slope], FarRelation, Optional[frozenset[Slope]]]:
+    """The sorted members that project to Z, the far relation on them (more
+    than l apart in Z), and ``check_P``'s answer.
+
+    The whole surface reads its far pairs into a table once, and its search
+    is bounded by the member count.  An annulus reads one twist-floor map,
+    and its search is bounded by the greedy count over the floors.
+    """
     if Z.is_whole:
-        members = sorted(set(A))
-        graph: dict[Slope, set[Slope]] = {a: set() for a in members}
+        table: dict[Slope, set[Slope]] = {a: set() for a in members}
         for x, y in combinations(members, 2):
             if proj_distance(kind, Z, x, y) > l:
-                graph[x].add(y)
-                graph[y].add(x)
-        far: FarRelation = lambda y, z: z in graph[y]
-        return _find_clique(members, far, k)
-    return _check_annulus(kind, A, l, k, Z)[1]
-
-
-def _check_annulus(
-    kind: SurfaceKind, A: Iterable[Slope], l: int, k: int, Z: SubsurfaceRef
-) -> tuple[dict[Slope, int], Optional[frozenset[Slope]]]:
-    """The twist floors of A in the annulus Z, and ``check_P``'s answer read from them."""
-    floors = twist_floors(kind, Z.core, A)
-    if _largest_far_count(floors.values(), l) < k:
-        return floors, None
-    return floors, _find_clique(sorted(floors), _annular_far(floors, l), k)
+                table[x].add(y)
+                table[y].add(x)
+        projecting, bound = members, len
+        far: FarRelation = lambda y, z: z in table[y]
+    else:
+        floors = twist_floors(kind, Z.core, members)
+        projecting = list(floors)
+        far = lambda y, z: abs(floors[y] - floors[z]) + 2 > l
+        bound = lambda S: _largest_far_count(map(floors.__getitem__, S), l)
+    return projecting, far, _find_clique(projecting, far, bound, k)
 
 
 @dataclass(frozen=True)
@@ -233,20 +244,11 @@ def ulfp_witness(
 ) -> UlfpCertificate:
     """Constructive dichotomy, whole surface first: a far k-set, or greedy
     covers in every candidate subsurface (k-1 centers at most, by maximality)."""
-    _require_l_and_k(l, k)
     members = sorted(set(A))
+    _require_l_and_k(l, k, MAX_CLIQUE_K if len(members) >= k else None)
     covers = []
     for Z in _subsurfaces(kind, members):
-        if Z.is_whole:
-            clique = check_P(kind, members, l, k, Z) if len(members) >= k else None
-            projecting, far = members, lambda v, c: distance(v, c) > l
-        else:
-            # one floors map per annulus decides P and builds the cover
-            if len(members) >= k:
-                floors, clique = _check_annulus(kind, members, l, k, Z)
-            else:
-                floors, clique = twist_floors(kind, Z.core, members), None
-            projecting, far = list(floors), _annular_far(floors, l)
+        projecting, far, clique = _decide(kind, members, l, k, Z)
         if clique is not None:
             return UlfpCertificate(witness=(clique, Z))
         covers.append(CoverEntry(Z, _greedy_centers(projecting, far), l))

@@ -56,6 +56,30 @@ def far_pair_corpus(seed: int, count: int, lo: int = 3, hi: int = 6):
     return pairs
 
 
+def annulus_clusters(m: int) -> list[Slope]:
+    """Seven clusters of m slopes at twist floors -60, -57, ..., -42 about
+    1/0, then -77/2 and -1639/40: 7m + 2 slopes, each 2 from 1/0.
+
+    A cluster at floor f holds (fq + 1)/q and (fq + q - 1)/q for q = 2, 3,
+    ..., in that order.  At l = 4 the clusters are pairwise far in the
+    annulus around 1/0, and with -77/2 they make its largest far set of 8.
+    In slope order -1639/40 comes first, and it lies in no far 8-set; a
+    search cut only by the member count spends its time below it.
+    """
+    out: list[Slope] = []
+    for f in range(-60, -41, 3):
+        cluster: list[Slope] = []
+        q = 2
+        while len(cluster) < m:
+            for p in (f * q + 1, f * q + q - 1):
+                s = canonical(p, q)
+                if s not in cluster and len(cluster) < m:
+                    cluster.append(s)
+            q += 1
+        out += cluster
+    return out + [Slope(-77, 2), Slope(-1639, 40)]
+
+
 # Frozen regression values for the seeded audit corpus below; recompute by
 # running bgit_audit over far_pair_corpus(BGIT_CORPUS_SEED, 100).
 BGIT_CORPUS_SEED = 7

@@ -12,7 +12,6 @@ from fareyulfp.graphcore import (
     BallCoverCertificate,
     FiniteGraph,
     SeparatedWitness,
-    check_ulfp_theorem,
     greedy_separated,
     ulf_bound,
 )
@@ -20,10 +19,6 @@ from fareyulfp.graphcore import (
 
 def path_graph(n: int) -> FiniteGraph:
     return FiniteGraph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> FiniteGraph:
-    return FiniteGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def random_degree_capped_graph(rng: random.Random, n: int, cap: int) -> FiniteGraph:
@@ -181,16 +176,3 @@ class TestGreedySeparated:
             A = rng.sample(range(g.n), bound + 1)
             result = greedy_separated(g, A, l, k)
             assert isinstance(result, SeparatedWitness), (l, k, bound)
-
-
-class TestCheckUlfpTheorem:
-    def test_witnesses_on_a_large_cycle(self):
-        g = cycle_graph(200)
-        report = check_ulfp_theorem(g, trials=20, l=2, k=2, seed=1)
-        assert report.bound == ulf_bound(2, 2, 2)
-        assert report.witnesses == 20 and report.failures == 0
-
-    def test_skips_when_no_component_is_roomy(self):
-        g = path_graph(4)
-        report = check_ulfp_theorem(g, trials=5, l=3, k=3, seed=1)
-        assert report.skipped == 5 and report.failures == 0

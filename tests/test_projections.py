@@ -6,6 +6,7 @@ import gc
 import random
 from collections import defaultdict
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from corpus import (
     BGIT_CORPUS_SEED,
     M_EMP,
     M_EMP_ATTAINING_VERTEX,
+    annulus_clusters,
     continued_fraction_slope,
     far_pair_corpus,
     random_mobius,
@@ -145,21 +147,15 @@ class TestCheckP:
 
 
 def record_checks(monkeypatch, events: list) -> list:
-    """Append to events each subsurface on which ulfp_witness decides P.
+    """Append to events each subsurface on which ulfp_witness decides P,
+    through ``_decide``, the one decider behind ``check_P`` and the covers."""
+    decide = projections._decide
 
-    It decides the whole surface by ``check_P``, and each annulus by
-    ``_check_annulus``, which keeps the floors map for the cover.
-    """
+    def decided(kind, members, l, k, Z):
+        events.append(Z)
+        return decide(kind, members, l, k, Z)
 
-    def recording(decide):
-        def decided(kind, A, l, k, Z):
-            events.append(Z)
-            return decide(kind, A, l, k, Z)
-
-        return decided
-
-    for name in ("check_P", "_check_annulus"):
-        monkeypatch.setattr(projections, name, recording(getattr(projections, name)))
+    monkeypatch.setattr(projections, "_decide", decided)
     return events
 
 
@@ -172,9 +168,10 @@ class TestCheckPAll:
 
     def test_vacuous_small_sets(self, monkeypatch):
         checked = self.count_checks(monkeypatch)
-        assert ulfp_witness(TORUS, [INFINITY], 3, 2).kind == "covered"
-        assert ulfp_witness(TORUS, SPEC_SET, 3, 4).kind == "covered"
-        assert checked == []
+        certs = [ulfp_witness(TORUS, [INFINITY], 3, 2), ulfp_witness(TORUS, SPEC_SET, 3, 4)]
+        assert [cert.kind for cert in certs] == ["covered", "covered"]
+        # below k members the root bound decides each subsurface at once
+        assert checked == [entry.subsurface for cert in certs for entry in cert.covers]
 
     @pytest.mark.parametrize(
         "A, l, k, message",
@@ -283,6 +280,45 @@ class TestUlfpWitness:
         one = ulfp_witness(TORUS, SPEC_SET, 5, 2)
         two = ulfp_witness(TORUS, list(reversed(SPEC_SET)), 5, 2)
         assert one.to_json() == two.to_json()
+
+
+class TestAnnulusClusters:
+    """annulus_clusters(m): P holds on the whole surface at l = 4 and fails
+    with k = 8 in the annulus around 1/0, the first candidate annulus."""
+
+    CORE = SubsurfaceRef(INFINITY)
+    WITNESS_58 = {"-251/6", "-269/6", "-287/6", "-305/6", "-323/6", "-341/6", "-359/6", "-77/2"}
+
+    def test_the_file_is_the_generated_set(self):
+        lines = Path(__file__).with_name("annulus_clusters_114.txt").read_text().split()
+        assert lines == [str(s) for s in annulus_clusters(16)]
+
+    def test_the_annulus_search_is_linear_in_the_members(self, monkeypatch):
+        # bounded by the member count alone, this search evaluates the far
+        # relation about a million times
+        A = annulus_clusters(8)
+        evaluations = 0
+        search = projections._find_clique
+
+        def counting(members, far, bound, k):
+            def counted(y, z):
+                nonlocal evaluations
+                evaluations += 1
+                return far(y, z)
+
+            return search(members, counted, bound, k)
+
+        monkeypatch.setattr(projections, "_find_clique", counting)
+        witness = check_P(TORUS, A, 4, 8, self.CORE)
+        assert {str(s) for s in witness} == self.WITNESS_58
+        assert 0 < evaluations <= 8 * len(A)
+
+    def test_ulfp_witness_names_the_annulus(self):
+        A = annulus_clusters(8)
+        assert check_P(TORUS, A, 4, 8, WHOLE) is None
+        assert candidate_subsurfaces(TORUS, A)[1] == self.CORE
+        curves, Z = ulfp_witness(TORUS, A, 4, 8).witness
+        assert Z == self.CORE and {str(s) for s in curves} == self.WITNESS_58
 
 
 def test_clique_search_leaves_no_cyclic_garbage():

@@ -14,7 +14,13 @@ from itertools import combinations, product
 
 import pytest
 
-from corpus import continued_fraction_slope, far_pair_corpus, random_mobius, random_slope
+from corpus import (
+    annulus_clusters,
+    continued_fraction_slope,
+    far_pair_corpus,
+    random_mobius,
+    random_slope,
+)
 from fareyulfp.annular import annular_distance, twist_coord, twist_floors
 from fareyulfp.farey import INFINITY, Slope, SurfaceKind, apply, dehn_twist, distance, geodesics
 from fareyulfp.projections import (
@@ -22,6 +28,7 @@ from fareyulfp.projections import (
     SubsurfaceRef,
     _largest_far_count,
     bgit_audit,
+    candidate_subsurfaces,
     check_P,
     ulfp_witness,
     vertex_gaps,
@@ -146,6 +153,40 @@ def test_check_P_matches_pairwise_reference(kind):
             assert check_P(kind, A, l, k, Z) == expected, (sorted(A), l, k, str(Z))
             failures += expected is not None
     assert failures > 100  # the corpus exercises the witness search
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_check_P_matches_brute_force_on_small_sets(kind):
+    # random sets of at most 12 slopes, on the whole surface, on hull
+    # annuli and on an annulus around a random core
+    rng = random.Random(505)
+    witnesses = annulus_witnesses = 0
+    for _ in range(120):
+        A = {random_slope(rng, 12) for _ in range(rng.randint(2, 12))}
+        if len(A) < 2:
+            continue
+        l, k = rng.randint(1, 9), rng.randint(2, 6)
+        hull = list(candidate_subsurfaces(kind, A)[1:])
+        for Z in [WHOLE, *rng.sample(hull, min(3, len(hull))), SubsurfaceRef(random_slope(rng, 8))]:
+            expected = ref_check_P(kind, A, l, k, Z)
+            assert check_P(kind, A, l, k, Z) == expected, (sorted(A), l, k, str(Z))
+            witnesses += expected is not None
+            annulus_witnesses += expected is not None and not Z.is_whole
+    assert witnesses > 80 and annulus_witnesses > 50  # 121 and 89 on the torus
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_check_P_matches_brute_force_on_annulus_clusters(m):
+    A = annulus_clusters(m)
+    witnesses = 0
+    for kind in KINDS:
+        for Z in (WHOLE, SubsurfaceRef(INFINITY), SubsurfaceRef(Slope(-77, 2))):
+            for l in (2, 3, 4, 5):
+                for k in range(2, 9):
+                    expected = ref_check_P(kind, A, l, k, Z)
+                    assert check_P(kind, A, l, k, Z) == expected, (m, kind, str(Z), l, k)
+                    witnesses += expected is not None
+    assert witnesses > 50  # 67 of 168
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
