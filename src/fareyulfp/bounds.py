@@ -15,15 +15,17 @@ argument holds there because ``log10_upper`` is nondecreasing.
 
 Values explode superexponentially, so every result carries a rational
 upper bound on its log10 and the exact integer is only materialized below
-a digit cap.  Exact values are printed by ``decimal_string``, in
-quasi-linear time.
+a digit cap.  Below the cap the chain is evaluated twice: once in ``int``
+for the value, and once in ``decimal`` under an exact context for its
+printed digits, which then need no binary-to-decimal conversion.  A log10
+envelope prints rounded up to six decimals, so it stays an upper bound.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -44,19 +46,22 @@ def decimal_string(n: int) -> str:
     Divide-and-conquer radix conversion (Brent & Zimmermann, *Modern
     Computer Arithmetic*, 2010, section 1.7): split ``n = hi * 2^w + lo``
     and combine the halves in ``decimal``, whose large multiplications are
-    number-theoretic transforms.  The context traps ``Inexact``, so a
-    rounding raises instead of printing a wrong digit.
+    number-theoretic transforms, under ``_exact_context``.
     """
     if n.bit_length() <= _SPLIT_BITS:
         return str(n)
     if n < 0:
         return "-" + decimal_string(-n)
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
+    with decimal.localcontext(_exact_context()):
         return str(_to_decimal(n, n.bit_length(), {}))
+
+
+def _exact_context() -> decimal.Context:
+    """Integer arithmetic at full precision; ``Inexact`` is trapped, so a
+    rounding raises instead of printing a wrong digit."""
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    ctx.traps[decimal.Inexact] = True
+    return ctx
 
 
 def _to_decimal(n: int, w: int, powers: dict) -> decimal.Decimal:
@@ -124,28 +129,37 @@ class BoundParams:
 
 @dataclass(frozen=True)
 class BigBound:
-    """A bound value: exact integer when feasible, log10 envelope always."""
+    """A bound value: exact integer when feasible, log10 envelope always.
+
+    ``digits`` is the decimal string of ``exact``, given exactly when
+    ``exact`` is; ``n_bound`` takes it from the chain evaluated in
+    ``decimal``.  Without it the bound prints as ``10^x``, x the envelope
+    rounded up to six decimals.
+    """
 
     log10_upper: Fraction
     exact: Optional[int] = None
+    digits: Optional[str] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if (self.exact is None) != (self.digits is None):
+            raise ValueError("digits are given exactly when the exact value is")
 
     @property
     def mode(self) -> str:
         return "exact" if self.exact is not None else "log10"
 
     def __str__(self) -> str:
-        if self.exact is not None:
-            return decimal_string(self.exact)
+        if self.digits is not None:
+            return self.digits
         return f"10^{_six_decimals(self.log10_upper)}"
 
 
 def _six_decimals(x: Fraction) -> str:
-    """``f"{float(x):.6f}"``, and the exactly rounded digits where x overflows a float."""
-    try:
-        return f"{float(x):.6f}"
-    except OverflowError:
-        whole, part = divmod(round(x * 10**6), 10**6)
-        return f"{decimal_string(whole)}.{part:06d}"
+    """x rounded up to six decimals, so the printed value is never below x."""
+    scaled = math.ceil(x * 10**6)
+    whole, part = divmod(abs(scaled), 10**6)
+    return f"{'-' * (scaled < 0)}{decimal_string(whole)}.{part:06d}"
 
 
 def log10_upper(value: int) -> Fraction:
@@ -169,10 +183,11 @@ def _base(l: int, k: int, M: int, torus: bool) -> int:
     return (l + 2 * M + 2) * k * (1 if torus else 2)
 
 
-def _chain_exact(xi: int, l: int, k: int, M: int, torus: bool) -> int:
-    """N(xi, l); ``torus`` picks the S_1,1 base, so it implies xi = 1."""
+def _chain_exact(xi: int, l: int, k: int, M: int, torus: bool, one=1):
+    """N(xi, l) in the number type of ``one``; ``torus`` picks the S_1,1 base,
+    so it implies xi = 1.  A ``Decimal`` is exact only in an exact context."""
     first, *rest = _levels(xi, l, M)
-    value = _base(first, k, M, torus) ** (first + 1)
+    value = (one * _base(first, k, M, torus)) ** (first + 1)
     for L in rest:
         value = (2 * value) ** (L + 1)
     return value
@@ -239,7 +254,9 @@ def n_bound(
         return BigBound(envelope)
     if mode == "auto" and envelope >= digit_cap:
         return BigBound(envelope)
-    return BigBound(envelope, _chain_exact(xi, p.l, p.k, p.M, torus))
+    with decimal.localcontext(_exact_context()):
+        digits = str(_chain_exact(xi, p.l, p.k, p.M, torus, decimal.Decimal(1)))
+    return BigBound(envelope, _chain_exact(xi, p.l, p.k, p.M, torus), digits)
 
 
 def slice_bound_tight(s: Surface, M: int, **kw) -> tuple[BigBound, BigBound]:

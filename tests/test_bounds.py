@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import decimal
 import json
 import math
 import random
@@ -171,8 +172,113 @@ class TestSliceBounds:
 
 class TestBigBound:
     def test_mode_property(self):
-        assert BigBound(Fraction(2), 100).mode == "exact"
+        assert BigBound(Fraction(2), 100, "100").mode == "exact"
         assert BigBound(Fraction(2)).mode == "log10"
+
+    def test_digits_come_with_the_exact_value(self):
+        with pytest.raises(ValueError):
+            BigBound(Fraction(2), 100)
+        with pytest.raises(ValueError):
+            BigBound(Fraction(2), digits="100")
+
+
+# surfaces of complexity 1 to 6 with (l, k, M) ranges whose bounds have at
+# most about 10^5 digits
+_EXACT_CASES = st.one_of(
+    st.tuples(
+        st.sampled_from([TORUS_1_1, SPHERE_0_4]),
+        st.integers(1, 3000),
+        st.integers(2, 50),
+        st.integers(1, 200),
+    ),
+    st.tuples(
+        st.sampled_from([Surface(1, 2), Surface(0, 5)]),
+        st.integers(1, 30),
+        st.integers(2, 9),
+        st.integers(1, 20),
+    ),
+    st.tuples(
+        st.sampled_from([Surface(1, 3), Surface(0, 6)]),
+        st.integers(1, 6),
+        st.integers(2, 5),
+        st.integers(1, 3),
+    ),
+    st.tuples(
+        st.sampled_from([Surface(2, 1), Surface(0, 7)]),
+        st.integers(1, 3),
+        st.integers(2, 5),
+        st.integers(1, 2),
+    ),
+    st.tuples(
+        st.sampled_from([Surface(1, 5), Surface(0, 8)]),
+        st.integers(1, 2),
+        st.integers(2, 5),
+        st.just(1),
+    ),
+    st.tuples(st.sampled_from([Surface(2, 3), Surface(0, 9)]), st.just(1), st.integers(2, 5), st.just(1)),
+)
+
+
+class TestDecimalChain:
+    """Exact digits come from the chain evaluated in ``decimal``; ``decimal_string``
+    of the ``int`` chain is the independent judge."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_EXACT_CASES)
+    @example((TORUS_1_1, 1, 2, 1))  # 100
+    @example((SPHERE_0_4, 3000, 50, 200))
+    @example((Surface(0, 9), 1, 5, 1))  # xi 6, 101 564 digits
+    def test_digits_equal_the_converted_value(self, case):
+        s, l, k, M = case
+        value = n_bound(s, BoundParams(l, k, M), mode="exact")
+        assert str(value) == decimal_string(value.exact)
+
+    def test_certify_size_renders_under_the_default_limit(self):
+        l, k, M = 28_157, 2, 100
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter default
+        try:
+            value = n_bound(TORUS_1_1, BoundParams(l, k, M))
+            text = str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(text) == 133_856 and text == decimal_string(value.exact)
+        assert text[-40:] == str(pow((l + 2 * M + 2) * k, l + 1, 10**40)).zfill(40)
+
+    def test_callers_context_is_left_alone(self):
+        with decimal.localcontext():
+            caller = decimal.getcontext()
+            caller.prec = 5
+            value = n_bound(SPHERE_0_4, BoundParams(40, 3, 2))
+            assert decimal.getcontext() is caller and caller.prec == 5
+            assert not caller.traps[decimal.Inexact]
+            assert not any(caller.flags.values())
+        assert len(str(value)) > 5 and str(value) == decimal_string(value.exact)
+
+    def test_a_rounding_raises(self):
+        narrow = decimal.Context(prec=50, traps=[decimal.Inexact])
+        assert 3000 < n_bound(SPHERE_0_4, BoundParams(1000, 3, 100), mode="log10").log10_upper < 4000
+        with decimal.localcontext(narrow), pytest.raises(decimal.Inexact):
+            bounds._chain_exact(1, 1000, 3, 100, False, decimal.Decimal(1))
+
+
+class TestLog10Rendering:
+    def test_rounds_up_past_the_exact_value(self):
+        # N = 406^2 = 164 836 = 10^5.2170520671..., which rounds down to 10^5.217052
+        value = n_bound(TORUS_1_1, BoundParams(1, 2, 100), digit_cap=2)
+        assert value.mode == "log10" and str(value) == "10^5.217053"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([TORUS_1_1, SPHERE_0_4, Surface(1, 2), Surface(0, 6), Surface(14, 1), Surface(100, 1)]),
+        st.integers(1, 10**4),
+        st.integers(2, 100),
+        st.integers(1, 500),
+    )
+    def test_printed_value_is_the_envelope_rounded_up(self, s, l, k, M):
+        value = n_bound(s, BoundParams(l, k, M), mode="log10")
+        printed = Fraction(str(value).removeprefix("10^"))
+        assert value.log10_upper <= printed < value.log10_upper + Fraction(1, 10**6)
 
 
 @contextlib.contextmanager
