@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"  # the single source of the package version
 
-from .annular import TwistCoord, annular_distance, twist_coord
+from .annular import annular_distance, twist_coord
 from .bounds import (
     BigBound,
     BoundParams,

@@ -21,10 +21,8 @@ from typing import Iterable
 from .errors import EmptyProjection
 from .farey import MobiusMap, Slope, SurfaceKind, apply, normalizer_to_infinity
 
-TwistCoord = Fraction
 
-
-def twist_coord(core: Slope, y: Slope) -> TwistCoord:
+def twist_coord(core: Slope, y: Slope) -> Fraction:
     """The exact position of y in the chart of the core's canonical normalizer."""
     if y == core:
         raise EmptyProjection(f"{y} is the core of the annulus")

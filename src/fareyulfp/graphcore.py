@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import DisconnectedQuery, PreconditionViolation, parse_lines
 
@@ -21,52 +21,26 @@ def _int_pair(text: str) -> tuple[int, int]:
 
 
 class FiniteGraph:
-    """Simple undirected graph with sorted neighbor lists."""
+    """Simple undirected graph on 0..n-1 with sorted neighbor lists.
+
+    Only vertices with an edge get a list, so memory and time follow the
+    edges and the queried component, not the declared vertex count.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-        m = 0
+        neighbor_sets: dict[int, set[int]] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
-            if v not in neighbor_sets[u]:
-                m += 1
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
+            neighbor_sets.setdefault(u, set()).add(v)
+            neighbor_sets.setdefault(v, set()).add(u)
         self.n = n
-        self.m = m
-        self.adjacency = [sorted(s) for s in neighbor_sets]
-        self._component = self._label_components()
-
-    def _label_components(self) -> list[int]:
-        label = [-1] * self.n
-        current = 0
-        for start in range(self.n):
-            if label[start] >= 0:
-                continue
-            label[start] = current
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self.adjacency[v]:
-                    if label[w] < 0:
-                        label[w] = current
-                        queue.append(w)
-            current += 1
-        return label
-
-    @property
-    def component_labels(self) -> Sequence[int]:
-        return self._component
-
-    def same_component(self, u: int, v: int) -> bool:
-        self._require_vertex(u)
-        self._require_vertex(v)
-        return self._component[u] == self._component[v]
+        self.adjacency = {v: sorted(s) for v, s in neighbor_sets.items()}
+        self.m = sum(map(len, self.adjacency.values())) // 2
 
     def _require_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -91,16 +65,19 @@ class FiniteGraph:
             v = queue.popleft()
             if cutoff is not None and dist[v] >= cutoff:
                 continue
-            for w in self.adjacency[v]:
+            for w in self.adjacency.get(v, ()):
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)
         return dist
 
     def distance(self, u: int, v: int) -> int:
-        if not self.same_component(u, v):
+        self._require_vertex(u)
+        self._require_vertex(v)
+        dist = self._bfs(u)
+        if v not in dist:
             raise DisconnectedQuery(f"{u} and {v} lie in different components")
-        return self._bfs(u)[v]
+        return dist[v]
 
     def ball(self, x: int, r: int) -> set[int]:
         self._require_vertex(x)
@@ -115,7 +92,7 @@ class FiniteGraph:
         return {v for v, d in self._bfs(x, cutoff=r).items() if d == r}
 
     def max_valency(self) -> int:
-        return max((len(nbrs) for nbrs in self.adjacency), default=0)
+        return max(map(len, self.adjacency.values()), default=0)
 
 
 def ulf_bound(valency: int, l: int, k: int) -> int:
@@ -162,7 +139,8 @@ def greedy_separated(
     members = sorted(set(A))
     for v in members:
         graph._require_vertex(v)
-    if len({graph.component_labels[v] for v in members}) > 1:
+    reached = graph._bfs(members[0]) if members else {}
+    if any(v not in reached for v in members):
         raise DisconnectedQuery("query set spans several components")
     chosen: list[int] = []
     chosen_balls: list[set[int]] = []

@@ -3,13 +3,29 @@
 A curve set A satisfies P(l, k, Z) when it holds no k curves whose
 projections to Z are pairwise more than l apart.  The subsurfaces worth
 checking are the whole surface plus the annuli around the geodesic hulls
-of member pairs, the vertices v with d(x, v) + d(v, y) = d(x, y): a large
-annular gap forces the core onto every geodesic between the offending
-pair, so no witness can hide elsewhere.  That restriction is a
-hypothesis, not a theorem: box-oracle tests support it for l >= 3, and it
-fails silently for l <= 2.  With l = k = 2, {-1/1, 0/1} is certified
-covered, yet the two are 3 apart in the annulus around 1/0, the third
-vertex of their Farey triangle (ROADMAP.md, "Property P off the hulls").
+of member pairs, the vertices v with d(x, v) + d(v, y) = d(x, y).
+
+Hull lemma: put the core at 1/0 by its normalizer, a Farey graph
+automorphism, so hulls move with it; the core's neighbours are then the
+integers.  The edge from 1/0 to an integer m separates the slopes below
+m from those above it, so a geodesic from x to y that avoids 1/0 visits
+every integer of the closed interval between their twist coordinates:
+those strictly inside by separation, an endpoint that is an integer as
+itself.  Three consecutive integers m, m + 1, m + 2 there are
+consecutive on such a geodesic, since m + 1 separates m from m + 2 and
+d(m, m + 2) = 2; putting 1/0 in place of m + 1 gives a geodesic through
+the core.  A twist-floor gap of at least 3 on the torus, or at least 2
+on the sphere (floors count twists of 2 units), leaves three such
+integers, so it forces the core onto some geodesic between the pair,
+though not onto every one: around 1/0, the five geodesics from 1/2 to
+7/2 (floors 0 and 3) include 1/2, 1/1, 2/1, 3/1, 7/2.  A pair far in
+the annulus has gap at least l - 1, so its hull holds the core, and the
+hull restriction is a theorem for l >= 4 on the torus and l >= 3 on the
+sphere.  Torus l = 3 rests on box-oracle
+tests only, and for l <= 2 the restriction fails silently: with
+l = k = 2, {-1/1, 0/1} is certified covered, yet the two are 3 apart in
+the annulus around 1/0, the third vertex of their Farey triangle
+(ROADMAP.md, item 5).
 
 One decider serves every subsurface: a clique search for the first far
 k-set in slope order, cut wherever the subsurface's own bound on the size

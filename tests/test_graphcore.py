@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -63,7 +65,6 @@ class TestFiniteGraph:
 
     def test_components_and_distance(self):
         g = FiniteGraph(5, [(0, 1), (1, 2), (3, 4)])
-        assert g.same_component(0, 2) and not g.same_component(0, 3)
         assert g.distance(0, 2) == 2
         with pytest.raises(DisconnectedQuery):
             g.distance(0, 4)
@@ -88,14 +89,6 @@ class TestFiniteGraph:
             with pytest.raises(PreconditionViolation, match=f"vertex {vertex} is not in 0..2"):
                 query()
 
-    @pytest.mark.parametrize("vertex", [-1, 3, 10])
-    def test_same_component_rejects_a_vertex_outside_the_graph(self, vertex):
-        # -1 would alias the last vertex, and 3 index past the labels
-        g = path_graph(3)
-        for query in (lambda: g.same_component(vertex, 0), lambda: g.same_component(0, vertex)):
-            with pytest.raises(PreconditionViolation, match=f"vertex {vertex} is not in 0..2"):
-                query()
-
     def test_max_valency(self):
         assert path_graph(5).max_valency() == 2
         assert FiniteGraph(1, []).max_valency() == 0
@@ -107,6 +100,105 @@ class TestFiniteGraph:
         for x in range(0, 60, 7):
             for r in range(4):
                 assert len(g.circle(x, r + 1)) <= V * max(len(g.circle(x, r)), 1)
+
+
+def random_split_graph(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """Edges drawn inside a few random vertex groups; some vertices stay isolated.
+
+    Pairs repeat and come in either order, to exercise edge collapsing.
+    """
+    n = rng.randint(1, 24)
+    group = [rng.randrange(-1, rng.randint(1, 4)) for _ in range(n)]  # -1: isolated
+    edges = []
+    for u, v in combinations(range(n), 2):
+        if group[u] == group[v] >= 0 and rng.random() < 0.35:
+            edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    edges += rng.sample(edges, len(edges) // 4)
+    return n, edges
+
+
+def dense_distances(n: int, edges: list[tuple[int, int]]) -> list[list[float]]:
+    """All-pairs distances by Floyd-Warshall on a dense matrix; inf between components."""
+    D = [[0 if u == v else math.inf for v in range(n)] for u in range(n)]
+    for u, v in edges:
+        D[u][v] = D[v][u] = 1
+    for w in range(n):
+        for u in range(n):
+            for v in range(n):
+                D[u][v] = min(D[u][v], D[u][w] + D[w][v])
+    return D
+
+
+def dense_greedy(D: list[list[float]], A: list[int], l: int, k: int):
+    """The greedy dichotomy read off the distance matrix, or None across components."""
+    members = sorted(set(A))
+    if any(D[u][v] == math.inf for u, v in combinations(members, 2)):
+        return None
+    chosen = []
+    for v in members:
+        if all(D[c][v] > l for c in chosen):
+            chosen.append(v)
+            if len(chosen) == k:
+                return SeparatedWitness(tuple(chosen), l)
+    return BallCoverCertificate(tuple(chosen), l)
+
+
+class TestAgainstDenseReference:
+    """Sparse queries against a brute-force matrix on graphs with several components."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_queries_match_the_dense_reference(self, seed):
+        rng = random.Random(seed)
+        n, edges = random_split_graph(rng)
+        g = FiniteGraph(n, edges)
+        D = dense_distances(n, edges)
+        degrees = [sum(d == 1 for d in row) for row in D]
+        assert g.m == sum(degrees) // 2
+        assert g.max_valency() == max(degrees)
+        for u in range(n):
+            for v in range(n):
+                if D[u][v] == math.inf:
+                    with pytest.raises(DisconnectedQuery, match=f"{u} and {v} lie in different components"):
+                        g.distance(u, v)
+                else:
+                    assert g.distance(u, v) == D[u][v]
+            for r in range(n + 1):
+                assert g.ball(u, r) == {v for v in range(n) if D[u][v] <= r}
+                assert g.circle(u, r) == {v for v in range(n) if D[u][v] == r}
+        for _ in range(30):
+            A = rng.sample(range(n), rng.randint(1, n))
+            l, k = rng.randint(1, 3), rng.randint(2, 4)
+            expected = dense_greedy(D, A, l, k)
+            if expected is None:
+                with pytest.raises(DisconnectedQuery, match="query set spans several components"):
+                    greedy_separated(g, A, l, k)
+            else:
+                assert greedy_separated(g, A, l, k) == expected
+
+    def test_the_corpus_has_isolated_vertices_and_split_queries(self):
+        isolated = split = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            n, edges = random_split_graph(rng)
+            D = dense_distances(n, edges)
+            isolated += sum(all(d == math.inf for v, d in enumerate(row) if v != u) for u, row in enumerate(D))
+            split += any(math.inf in row for row in D)
+        assert isolated > 40 and split > 30
+
+
+def test_memory_follows_the_edges_not_the_declared_vertices():
+    tracemalloc.start()
+    try:
+        g = FiniteGraph(200_000, [(0, 1), (1, 2), (5, 6)])
+        assert g.distance(0, 2) == 2
+        assert g.ball(199_999, 3) == {199_999}
+        assert greedy_separated(g, [0, 2], 1, 3) == BallCoverCertificate((0, 2), 1)
+        with pytest.raises(DisconnectedQuery):
+            greedy_separated(g, [0, 2, 6], 1, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 class TestUlfBound:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations
 from pathlib import Path
 
@@ -24,7 +24,15 @@ from corpus import (
 from fareyulfp import projections
 from fareyulfp.annular import annular_distance, twist_floors
 from fareyulfp.errors import PreconditionViolation
-from fareyulfp.farey import INFINITY, Slope, SurfaceKind, apply, distance, geodesics
+from fareyulfp.farey import (
+    INFINITY,
+    Slope,
+    SurfaceKind,
+    apply,
+    distance,
+    geodesic_vertices,
+    geodesics,
+)
 from fareyulfp.projections import (
     WHOLE,
     SubsurfaceRef,
@@ -82,6 +90,34 @@ class TestCandidateSubsurfaces:
         cores = {Z.core for Z in candidate_subsurfaces(TORUS, A)[1:]}
         for g in geodesics(*A):
             assert set(g.vertices) <= cores
+
+    @pytest.mark.parametrize("kind, threshold", [(TORUS, 3), (SPHERE, 2)])
+    def test_a_twist_floor_gap_at_the_threshold_puts_the_core_in_the_hull(self, kind, threshold):
+        # The hull lemma on the |p|, q <= 10 box: a gap of at least 3 full
+        # twists on the torus, 2 on the sphere, leaves three consecutive
+        # integers of the core's chart between the pair.  One gap less
+        # leaves cores off the hull, so the threshold is sharp.
+        box = slopes_with_denominator_up_to(10)
+        misses, checked = Counter(), Counter()
+        for core in box:
+            floors = twist_floors(kind, core, box)
+            for (x, fx), (y, fy) in combinations(floors.items(), 2):
+                gap = abs(fx - fy)
+                if gap >= threshold - 1:
+                    checked[gap >= threshold] += 1
+                    if core not in geodesic_vertices(x, y):
+                        misses[gap >= threshold] += 1
+        assert misses[True] == 0 and checked[True] > 10_000
+        assert misses[False] > 0
+
+    def test_the_core_lies_on_some_geodesic_not_on_every_one(self):
+        # floors 0 and 3 around 1/0: the core is in the hull, yet one of
+        # the five geodesics runs through the integers 1, 2, 3 instead
+        x, y = Slope(1, 2), Slope(7, 2)
+        assert twist_floors(TORUS, INFINITY, [x, y]) == {x: 0, y: 3}
+        paths = [g.vertices for g in geodesics(x, y)]
+        assert len(paths) == 5 and INFINITY in geodesic_vertices(x, y)
+        assert (x, Slope(1, 1), Slope(2, 1), Slope(3, 1), y) in paths
 
     def test_no_witness_hides_outside_candidates(self):
         # Brute-force over every annulus core in a box: whenever the
