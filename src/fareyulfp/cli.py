@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__ as VERSION
 from . import bounds as bounds_mod
@@ -195,7 +195,7 @@ def _config_from_args(args: argparse.Namespace) -> Config:
     return Config(
         M=args.M if args.M is not None else _env_int("ULFP_M", Config.M),
         delta=args.delta if args.delta is not None else _env_int("ULFP_DELTA", Config.delta),
-        kind=SurfaceKind.TORUS_1_1 if args.kind == "torus" else SurfaceKind.SPHERE_0_4,
+        kind=SurfaceKind(args.kind),
         seed=args.seed if args.seed is not None else _env_int("ULFP_SEED", Config.seed),
         exact_digit_cap=args.digit_cap,
     )
@@ -255,43 +255,27 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
             record["attaining"] = {"vertex": str(vertex), "core": str(core)}
         return record
     if cmd == "bounds":
-        surface = args.surface
+        surface, cap = args.surface, config.exact_digit_cap
+        params = bounds_mod.BoundParams(args.l, args.k, config.M)  # checked in every mode
         if args.slice_mode:
-            pair = bounds_mod.slice_bound_tight(
-                surface, config.M, digit_cap=config.exact_digit_cap
-            )
-            return {"surface": str(surface), "bounds": [str(b) for b in pair]}
-        if args.weak is not None:
-            pair = bounds_mod.slice_bound_weak(
-                surface, args.weak, config.M, digit_cap=config.exact_digit_cap
-            )
-            return {"surface": str(surface), "bounds": [str(b) for b in pair]}
-        value = bounds_mod.n_bound(
-            surface,
-            bounds_mod.BoundParams(args.l, args.k, config.M),
-            digit_cap=config.exact_digit_cap,
-        )
-        return {
-            "surface": str(surface),
-            "params": {"l": args.l, "k": args.k, "M": config.M},
-            "mode": value.mode,
-            "value": str(value),
-        }
+            pair = bounds_mod.slice_bound_tight(surface, config.M, digit_cap=cap)
+        elif args.weak is not None:
+            pair = bounds_mod.slice_bound_weak(surface, args.weak, config.M, digit_cap=cap)
+        else:
+            value = bounds_mod.n_bound(surface, params, digit_cap=cap)
+            return {
+                "surface": str(surface),
+                "params": {"l": args.l, "k": args.k, "M": config.M},
+                "mode": value.mode,
+                "value": str(value),
+            }
+        return {"surface": str(surface), "bounds": [str(b) for b in pair]}
     if cmd == "graph-ulfp":
         graph = _read_input(args.graph, graphcore.FiniteGraph.parse)
         vertex_set = _read_input(args.set_file, lambda fh: parse_lines(fh, int))
         result = graphcore.greedy_separated(graph, vertex_set, args.l, args.k)
-        if isinstance(result, graphcore.SeparatedWitness):
-            return {
-                "type": "witness",
-                "vertices": list(result.vertices),
-                "separation": result.separation,
-            }
-        return {
-            "type": "covered",
-            "centers": list(result.centers),
-            "radius": result.radius,
-        }
+        kind_name = "witness" if isinstance(result, graphcore.SeparatedWitness) else "covered"
+        return {"type": kind_name, **asdict(result)}
     raise AssertionError(f"unhandled command {cmd}")  # pragma: no cover
 
 
@@ -319,13 +303,7 @@ def run(argv: list[str]) -> int:
         "argv": list(argv),
         "outputs": outputs,
         "timing_seconds": round(time.monotonic() - started, 6),
-        "config": {
-            "M": config.M,
-            "delta": config.delta,
-            "kind": config.kind.value,
-            "seed": config.seed,
-            "exact_digit_cap": config.exact_digit_cap,
-        },
+        "config": {**asdict(config), "kind": config.kind.value},
         "version": VERSION,
     }
     json.dump(report, sys.stdout, indent=2)

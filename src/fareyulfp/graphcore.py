@@ -3,14 +3,16 @@
 Implements the counting side of the story: valency bounds, balls and
 circles, the greedy separated-set / ball-cover dichotomy, and the
 resulting threshold (k-1) * sum_{i<=l} V^i above which a separated
-witness is guaranteed.
+witness is guaranteed.  Every query reads one breadth-first search layer
+by layer and stops at the last layer it needs, so its cost follows the
+layers it reads, not the component it lies in.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .errors import DisconnectedQuery, PreconditionViolation, parse_lines
 
@@ -23,8 +25,8 @@ def _int_pair(text: str) -> tuple[int, int]:
 class FiniteGraph:
     """Simple undirected graph on 0..n-1 with sorted neighbor lists.
 
-    Only vertices with an edge get a list, so memory and time follow the
-    edges and the queried component, not the declared vertex count.
+    Only vertices with an edge get a list, so memory follows the edges,
+    not the declared vertex count.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -58,49 +60,54 @@ class FiniteGraph:
             raise ValueError(f"expected {m} edges, found {len(edges)}")
         return cls(n, edges)
 
-    def _bfs(self, source: int, cutoff: Optional[int] = None) -> dict[int, int]:
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            if cutoff is not None and dist[v] >= cutoff:
-                continue
-            for w in self.adjacency.get(v, ()):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
+    def _layers(self, source: int) -> Iterator[list[int]]:
+        """The vertices at distance 0, 1, 2, ... from a validated source; a
+        layer is expanded only when the next one is asked for."""
+        seen, layer = {source}, [source]
+        while layer:
+            yield layer
+            frontier = []
+            for v in layer:
+                for w in self.adjacency.get(v, ()):
+                    if w not in seen:
+                        seen.add(w)
+                        frontier.append(w)
+            layer = frontier
 
     def distance(self, u: int, v: int) -> int:
         self._require_vertex(u)
         self._require_vertex(v)
-        dist = self._bfs(u)
-        if v not in dist:
-            raise DisconnectedQuery(f"{u} and {v} lie in different components")
-        return dist[v]
+        for d, layer in enumerate(self._layers(u)):
+            if v in layer:
+                return d
+        raise DisconnectedQuery(f"{u} and {v} lie in different components")
 
     def ball(self, x: int, r: int) -> set[int]:
         self._require_vertex(x)
         if r < 0:
             raise PreconditionViolation("radius must be nonnegative")
-        return set(self._bfs(x, cutoff=r))
+        return set().union(*islice(self._layers(x), r + 1))
 
     def circle(self, x: int, r: int) -> set[int]:
         self._require_vertex(x)
         if r < 0:
             raise PreconditionViolation("radius must be nonnegative")
-        return {v for v, d in self._bfs(x, cutoff=r).items() if d == r}
+        return set(next(islice(self._layers(x), r, None), ()))
 
     def max_valency(self) -> int:
         return max(map(len, self.adjacency.values()), default=0)
 
 
-def ulf_bound(valency: int, l: int, k: int) -> int:
-    """(k-1) * sum_{i=0..l} valency^i: the separated-set threshold."""
+def _require_l_and_k(l: int, k: int) -> None:
     if l <= 0:
         raise PreconditionViolation("l must be positive")
     if k <= 1:
         raise PreconditionViolation("k must exceed 1")
+
+
+def ulf_bound(valency: int, l: int, k: int) -> int:
+    """(k-1) * sum_{i=0..l} valency^i: the separated-set threshold."""
+    _require_l_and_k(l, k)
     return (k - 1) * sum(valency**i for i in range(l + 1))
 
 
@@ -132,24 +139,24 @@ def greedy_separated(
     chosen vertices cover A at radius l, so they come back as a cover
     certificate with at most k-1 centers.
     """
-    if l <= 0:
-        raise PreconditionViolation("l must be positive")
-    if k <= 1:
-        raise PreconditionViolation("k must exceed 1")
+    _require_l_and_k(l, k)
     members = sorted(set(A))
     for v in members:
         graph._require_vertex(v)
-    reached = graph._bfs(members[0]) if members else {}
-    if any(v not in reached for v in members):
+    unseen = set(members)
+    for layer in graph._layers(members[0]) if members else ():
+        unseen.difference_update(layer)
+        if not unseen:
+            break
+    if unseen:
         raise DisconnectedQuery("query set spans several components")
     chosen: list[int] = []
-    chosen_balls: list[set[int]] = []
+    covered: set[int] = set()
     for v in members:
-        if any(v in ball for ball in chosen_balls):
+        if v in covered:
             continue
         chosen.append(v)
         if len(chosen) == k:
             return SeparatedWitness(tuple(chosen), l)
-        chosen_balls.append(graph.ball(v, l))
+        covered |= graph.ball(v, l)
     return BallCoverCertificate(tuple(chosen), l)
-

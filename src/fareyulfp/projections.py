@@ -122,25 +122,29 @@ def _find_clique(
     """
     if bound(members) < k:
         return None
+    return _extend_clique([], list(members), far, bound, k)
 
-    def extend(clique: list[Slope], candidates: list[Slope]) -> Optional[frozenset[Slope]]:
-        if len(clique) == k:
-            return frozenset(clique)
-        for i, v in enumerate(candidates):
-            narrowed = [w for w in candidates[i + 1 :] if far(v, w)]
-            if len(clique) + 1 + bound(narrowed) < k:
-                continue
-            clique.append(v)
-            found = extend(clique, narrowed)
-            if found is not None:
-                return found
-            clique.pop()
-        return None
 
-    try:
-        return extend([], list(members))
-    finally:
-        del extend  # the closure refers to itself; clearing it frees the search now
+def _extend_clique(
+    clique: list[Slope],
+    candidates: list[Slope],
+    far: FarRelation,
+    bound: Callable[[Sequence[Slope]], int],
+    k: int,
+) -> Optional[frozenset[Slope]]:
+    """Grow ``clique`` by far candidates in their order, depth first, to size k."""
+    if len(clique) == k:
+        return frozenset(clique)
+    for i, v in enumerate(candidates):
+        narrowed = [w for w in candidates[i + 1 :] if far(v, w)]
+        if len(clique) + 1 + bound(narrowed) < k:
+            continue
+        clique.append(v)
+        found = _extend_clique(clique, narrowed, far, bound, k)
+        if found is not None:
+            return found
+        clique.pop()
+    return None
 
 
 def _require_l_and_k(l: int, k: int, k_max: Optional[int] = None) -> None:

@@ -280,6 +280,18 @@ class TestExitCodes:
         assert captured.err.strip() == f"error: {message}"
 
 
+    @pytest.mark.parametrize("mode", [[], ["--slice"], ["--weak", "200"]], ids=["n", "slice", "weak"])
+    @pytest.mark.parametrize(
+        "l, k, message",
+        [("-5", "0", "l must be positive"), ("3", "1", "k must exceed 1")],
+        ids=["negative-l", "k-one"],
+    )
+    def test_bounds_rejects_bad_l_and_k_in_every_mode(self, capsys, mode, l, k, message):
+        code = run(["bounds", "--surface", "1,1", *mode, "--l", l, "--k", k])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.strip() == f"error: {message}"
+
 class TestDigitLimit:
     @pytest.mark.parametrize(
         "argv, code",

@@ -509,6 +509,20 @@ class TestLadder:
         }
         assert {g.vertices for g in geodesics(apply(m, INFINITY), apply(m, t))} == expected
 
+    # no apex u + w or u - w of a walk edge is on a geodesic, and the closure
+    # does hold apices off the walk, so the first check is not vacuous
+    @example(10**40, [7])
+    @example(-3, [900, 2, 50])
+    @example(0, [2] * 14)
+    @settings(max_examples=80, deadline=None)
+    @given(integer_parts, partial_quotients)
+    def test_the_hull_lies_on_the_walk(self, a0, terms):
+        t = from_terms(a0, terms)
+        walked = {v for edge in _normalized_walk(t) for v in edge}
+        assert {v for level in farey._hull_normalized(t) for v in level} <= walked
+        if t.q > 1:  # t is not an integer
+            assert set(_closure_adjacency(t)) - walked
+
     @staticmethod
     def refuse(t):
         raise AssertionError(f"built the closure of {t}")

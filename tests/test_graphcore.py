@@ -201,6 +201,36 @@ def test_memory_follows_the_edges_not_the_declared_vertices():
     assert peak < 1 << 20, peak
 
 
+class CountingAdjacency(dict):
+    """An adjacency map that counts the vertices a search expands."""
+
+    expanded = 0
+
+    def get(self, v, default=None):
+        self.expanded += 1
+        return super().get(v, default)
+
+
+@pytest.mark.parametrize(
+    "query, expanded",
+    [
+        (lambda g: g.distance(0, 1), 1),
+        (lambda g: g.distance(0, 5), 5),
+        (lambda g: g.ball(0, 3), 3),
+        (lambda g: g.circle(0, 3), 3),
+        (lambda g: greedy_separated(g, [0, 1], 1, 2), 2),
+    ],
+    ids=["distance-1", "distance-5", "ball", "circle", "greedy"],
+)
+def test_a_query_expands_only_the_layers_it_reads(query, expanded):
+    # a whole-component search would expand all 200 000 vertices of the path
+    g = path_graph(200_000)
+    g.adjacency = counting = CountingAdjacency(g.adjacency)
+    query(g)
+    count = counting.expanded  # read first, so a failure does not print the map
+    assert count == expanded
+
+
 class TestUlfBound:
     def test_formula(self):
         assert ulf_bound(2, 2, 2) == 1 * (1 + 2 + 4)
