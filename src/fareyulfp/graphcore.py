@@ -5,13 +5,15 @@ circles, the greedy separated-set / ball-cover dichotomy, and the
 resulting threshold (k-1) * sum_{i<=l} V^i above which a separated
 witness is guaranteed.  Every query reads one breadth-first search layer
 by layer and stops at the last layer it needs, so its cost follows the
-layers it reads, not the component it lies in.
+layers it reads, not the component it lies in.  Each layer costs one
+generator step and one new list, so a query that must read a whole
+component of many thin layers (a distance along a long path, or a
+disconnected query) runs somewhat slower than one plain queue would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import DisconnectedQuery, PreconditionViolation, parse_lines
@@ -86,13 +88,21 @@ class FiniteGraph:
         self._require_vertex(x)
         if r < 0:
             raise PreconditionViolation("radius must be nonnegative")
-        return set().union(*islice(self._layers(x), r + 1))
+        reached: set[int] = set()
+        for d, layer in enumerate(self._layers(x)):
+            reached.update(layer)
+            if d == r:
+                break
+        return reached
 
     def circle(self, x: int, r: int) -> set[int]:
         self._require_vertex(x)
         if r < 0:
             raise PreconditionViolation("radius must be nonnegative")
-        return set(next(islice(self._layers(x), r, None), ()))
+        for d, layer in enumerate(self._layers(x)):
+            if d == r:
+                return set(layer)
+        return set()
 
     def max_valency(self) -> int:
         return max(map(len, self.adjacency.values()), default=0)

@@ -142,6 +142,19 @@ class TestCommands:
         assert out["type"] == "witness" and out["separation"] == 1
 
 
+    @pytest.mark.parametrize("l", [str(2**63 - 1), str(2**63), str(2**64)])
+    def test_graph_ulfp_radius_beyond_the_graph(self, capsys, tmp_path, l):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n")
+        vertex_set = tmp_path / "set.txt"
+        vertex_set.write_text("0\n2\n5\n")
+        out = invoke(
+            capsys,
+            ["graph-ulfp", "--graph", str(graph), "--set", str(vertex_set), "--l", l, "--k", "2"],
+        )["outputs"]
+        assert out == {"type": "covered", "centers": [0], "radius": int(l)}
+
+
 class TestExitCodes:
     def test_argument_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:

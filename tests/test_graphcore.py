@@ -231,6 +231,14 @@ def test_a_query_expands_only_the_layers_it_reads(query, expanded):
     assert count == expanded
 
 
+@pytest.mark.parametrize("r", [2**63 - 1, 2**63, 2**64])
+def test_a_radius_beyond_every_layer_reads_the_whole_component(r):
+    g = FiniteGraph(8, [(0, 1), (1, 2), (2, 3), (5, 6)])
+    assert g.ball(1, r) == g.ball(1, 3) == {0, 1, 2, 3}
+    assert g.circle(1, r) == g.circle(1, 3) == set()
+    assert greedy_separated(g, [0, 3], r, 2) == BallCoverCertificate((0,), r)
+
+
 class TestUlfBound:
     def test_formula(self):
         assert ulf_bound(2, 2, 2) == 1 * (1 + 2 + 4)
