@@ -15,10 +15,13 @@ argument holds there because ``log10_upper`` is nondecreasing.
 
 Values explode superexponentially, so every result carries a rational
 upper bound on its log10 and the exact integer is only materialized below
-a digit cap.  Below the cap the chain is evaluated twice: once in ``int``
-for the value, and once in ``decimal`` under an exact context for its
-printed digits, which then need no binary-to-decimal conversion.  A log10
-envelope prints rounded up to six decimals, so it stays an upper bound.
+a digit cap.  Below the cap ``n_bound`` evaluates the chain once, in
+``decimal`` under an exact context, for its printed digits, which then
+need no binary-to-decimal conversion.  The ``int`` is evaluated on the
+first read of ``BigBound.exact`` and kept.  No module of the package reads
+it (``slices.verify_slice_bounds`` compares a slice size with the digits);
+the tests and the benchmark's tracer do.  A log10 envelope prints rounded
+up to six decimals, so it stays an upper bound.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, require_l_and_k
 from .farey import SurfaceKind
 
 # float log10 rounded up far enough to stay an upper bound after scaling
@@ -119,10 +122,7 @@ class BoundParams:
     M: int
 
     def __post_init__(self) -> None:
-        if self.l <= 0:
-            raise PreconditionViolation("l must be positive")
-        if self.k <= 1:
-            raise PreconditionViolation("k must exceed 1")
+        require_l_and_k(self.l, self.k)
         if self.M <= 0:
             raise PreconditionViolation("M must be positive")
 
@@ -131,23 +131,33 @@ class BoundParams:
 class BigBound:
     """A bound value: exact integer when feasible, log10 envelope always.
 
-    ``digits`` is the decimal string of ``exact``, given exactly when
-    ``exact`` is; ``n_bound`` takes it from the chain evaluated in
-    ``decimal``.  Without it the bound prints as ``10^x``, x the envelope
-    rounded up to six decimals.
+    ``digits`` is the decimal string of the exact value, given exactly
+    when ``chain`` is: the arguments of ``_chain_exact`` that evaluate it
+    as an ``int``.  ``n_bound`` takes the digits from the chain evaluated
+    in ``decimal``.  Without them the bound prints as ``10^x``, x the
+    envelope rounded up to six decimals.
     """
 
     log10_upper: Fraction
-    exact: Optional[int] = None
-    digits: Optional[str] = field(default=None, repr=False)
+    digits: Optional[str] = None
+    chain: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if (self.exact is None) != (self.digits is None):
-            raise ValueError("digits are given exactly when the exact value is")
+        if (self.chain is None) != (self.digits is None):
+            raise ValueError("digits are given exactly when the chain is")
+
+    @property
+    def exact(self) -> Optional[int]:
+        """The exact value; its ``int`` chain runs on the first read only."""
+        if self.chain is None:
+            return None
+        if "_exact" not in self.__dict__:
+            object.__setattr__(self, "_exact", _chain_exact(*self.chain))
+        return self.__dict__["_exact"]
 
     @property
     def mode(self) -> str:
-        return "exact" if self.exact is not None else "log10"
+        return "exact" if self.digits is not None else "log10"
 
     def __str__(self) -> str:
         if self.digits is not None:
@@ -241,9 +251,9 @@ def n_bound(
 ) -> BigBound:
     """The computable threshold N_S(l, k) for the given surface.
 
-    mode "auto" materializes the exact integer whenever the predicted
-    digit count stays below digit_cap, "exact" forces materialization,
-    and "log10" returns only the envelope.
+    mode "auto" gives the exact digits whenever the predicted digit count
+    stays below digit_cap, "exact" always gives them, and "log10" returns
+    only the envelope.
     """
     if mode not in ("auto", "exact", "log10"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -254,27 +264,32 @@ def n_bound(
         return BigBound(envelope)
     if mode == "auto" and envelope >= digit_cap:
         return BigBound(envelope)
+    chain = (xi, p.l, p.k, p.M, torus)
     with decimal.localcontext(_exact_context()):
-        digits = str(_chain_exact(xi, p.l, p.k, p.M, torus, decimal.Decimal(1)))
-    return BigBound(envelope, _chain_exact(xi, p.l, p.k, p.M, torus), digits)
+        digits = str(_chain_exact(*chain, decimal.Decimal(1)))
+    return BigBound(envelope, digits, chain)
+
+
+def slice_bound(
+    s: Surface, M: int, D: Optional[int] = None, radius: bool = False, **kw
+) -> BigBound:
+    """The slice bound N_S(2D, 3) (pointwise) or N_S(2(D+M), 3) (radius
+    form) of weak-tight slices, and with D None that of tight slices, D = M."""
+    reach = M if D is None else D
+    l = 2 * (reach + M) if radius else 2 * reach
+    return n_bound(s, BoundParams(l, 3, M), **kw)
 
 
 def slice_bound_tight(s: Surface, M: int, **kw) -> tuple[BigBound, BigBound]:
     """Slice bounds N_S(2M, 3) (pointwise) and N_S(4M, 3) (radius form)."""
-    return (
-        n_bound(s, BoundParams(2 * M, 3, M), **kw),
-        n_bound(s, BoundParams(4 * M, 3, M), **kw),
-    )
+    return slice_bound(s, M, **kw), slice_bound(s, M, radius=True, **kw)
 
 
 def slice_bound_weak(s: Surface, D: int, M: int, **kw) -> tuple[BigBound, BigBound]:
     """Weak-tight slice bounds N_S(2D, 3) and N_S(2(D+M), 3); needs D >= M."""
     if D < M:
         raise PreconditionViolation("weak-tight bound requires D >= M")
-    return (
-        n_bound(s, BoundParams(2 * D, 3, M), **kw),
-        n_bound(s, BoundParams(2 * (D + M), 3, M), **kw),
-    )
+    return slice_bound(s, M, D, **kw), slice_bound(s, M, D, radius=True, **kw)
 
 
 def growth_upper(s: Surface, p: BoundParams) -> BigBound:

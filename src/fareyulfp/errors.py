@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the input-line parser that raises them."""
+"""Exception types shared across the package, the l/k precondition and the
+input-line parser that raise them."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Optional, TypeVar
 
 _T = TypeVar("_T")
 
@@ -31,6 +32,17 @@ class InternalCheckFailure(RuntimeError):
 
     It reports a defect or a failed engineering hypothesis, never bad input.
     """
+
+
+def require_l_and_k(
+    l: int, k: int, k_message: str = "k must exceed 1", k_max: Optional[int] = None
+) -> None:
+    """The radius l must be positive and the count k exceed 1 (and not
+    exceed ``k_max`` when given); a bad k raises with ``k_message``."""
+    if l <= 0:
+        raise PreconditionViolation("l must be positive")
+    if k <= 1 or (k_max is not None and k > k_max):
+        raise PreconditionViolation(k_message)
 
 
 class MalformedLine(ValueError):

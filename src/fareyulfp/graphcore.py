@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DisconnectedQuery, PreconditionViolation, parse_lines
+from .errors import DisconnectedQuery, PreconditionViolation, parse_lines, require_l_and_k
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -108,16 +108,9 @@ class FiniteGraph:
         return max(map(len, self.adjacency.values()), default=0)
 
 
-def _require_l_and_k(l: int, k: int) -> None:
-    if l <= 0:
-        raise PreconditionViolation("l must be positive")
-    if k <= 1:
-        raise PreconditionViolation("k must exceed 1")
-
-
 def ulf_bound(valency: int, l: int, k: int) -> int:
     """(k-1) * sum_{i=0..l} valency^i: the separated-set threshold."""
-    _require_l_and_k(l, k)
+    require_l_and_k(l, k)
     return (k - 1) * sum(valency**i for i in range(l + 1))
 
 
@@ -149,7 +142,7 @@ def greedy_separated(
     chosen vertices cover A at radius l, so they come back as a cover
     certificate with at most k-1 centers.
     """
-    _require_l_and_k(l, k)
+    require_l_and_k(l, k)
     members = sorted(set(A))
     for v in members:
         graph._require_vertex(v)

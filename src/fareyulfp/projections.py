@@ -43,10 +43,11 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .annular import annular_distance, twist_floors
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, require_l_and_k
 from .farey import Slope, SurfaceKind, distance, geodesic_levels, geodesic_vertices
 
 MAX_CLIQUE_K = 8
+_K_RANGE = f"k must lie in (1, {MAX_CLIQUE_K}]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,14 +148,6 @@ def _extend_clique(
     return None
 
 
-def _require_l_and_k(l: int, k: int, k_max: Optional[int] = None) -> None:
-    """l > 0 and 1 < k (<= k_max where the clique search runs)."""
-    if l <= 0:
-        raise PreconditionViolation("l must be positive")
-    if k <= 1 or (k_max is not None and k > k_max):
-        raise PreconditionViolation(f"k must lie in (1, {MAX_CLIQUE_K}]")
-
-
 def check_P(
     kind: SurfaceKind,
     A: Iterable[Slope],
@@ -170,7 +163,7 @@ def check_P(
     clique search on the far-pair graph; on an annulus the sorted greedy
     over the twist floors bounds the search exactly.
     """
-    _require_l_and_k(l, k, MAX_CLIQUE_K)
+    require_l_and_k(l, k, _K_RANGE, MAX_CLIQUE_K)
     return _decide(kind, sorted(set(A)), l, k, Z)[2]
 
 
@@ -265,7 +258,7 @@ def ulfp_witness(
     """Constructive dichotomy, whole surface first: a far k-set, or greedy
     covers in every candidate subsurface (k-1 centers at most, by maximality)."""
     members = sorted(set(A))
-    _require_l_and_k(l, k, MAX_CLIQUE_K if len(members) >= k else None)
+    require_l_and_k(l, k, _K_RANGE, MAX_CLIQUE_K if len(members) >= k else None)
     covers = []
     for Z in _subsurfaces(kind, members):
         projecting, far, clique = _decide(kind, members, l, k, Z)

@@ -21,8 +21,7 @@ from .bounds import (
     DEFAULT_DIGIT_CAP,
     BigBound,
     log10_upper,
-    slice_bound_tight,
-    slice_bound_weak,
+    slice_bound,
     surface_for_kind,
 )
 from .errors import HypothesisViolation, InternalCheckFailure, PreconditionViolation
@@ -197,14 +196,16 @@ def verify_slice_bounds(
         if distance(c, a) <= query.r + j or distance(c, b) <= query.r + j:
             raise HypothesisViolation("c must avoid the (r + j)-balls of a and b")
         members = radius_slice_sample(kind, a, b, query.r, c, query.delta, budget, seed, D)
-    pointwise, radius_form = (
-        slice_bound_tight(surface, M, digit_cap=digit_cap)
-        if D is None
-        else slice_bound_weak(surface, D, M, digit_cap=digit_cap)
-    )
-    bound = pointwise if exact else radius_form
+    bound = slice_bound(surface, M, D, radius=not exact, digit_cap=digit_cap)
     size_log10 = log10_upper(max(len(members), 1))
     margin = float(bound.log10_upper - size_log10)
-    if len(members) > 0 and bound.exact is not None and len(members) > bound.exact:
+    if bound.digits is not None and _exceeds(str(len(members)), bound.digits):
         raise InternalCheckFailure("slice exceeds its computable bound")
     return SliceVerification(query, members, exact, bound, margin, D)
+
+
+def _exceeds(a: str, b: str) -> bool:
+    """a > b for the decimal digits of two nonnegative integers, neither
+    with a leading zero: the longer is larger, and equal lengths compare
+    as strings."""
+    return (len(a), a) > (len(b), b)

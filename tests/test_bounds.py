@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import decimal
 import json
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -172,14 +174,81 @@ class TestSliceBounds:
 
 class TestBigBound:
     def test_mode_property(self):
-        assert BigBound(Fraction(2), 100, "100").mode == "exact"
+        assert BigBound(Fraction(2), "100", (1, 1, 2, 1, True)).mode == "exact"
         assert BigBound(Fraction(2)).mode == "log10"
 
     def test_digits_come_with_the_exact_value(self):
         with pytest.raises(ValueError):
-            BigBound(Fraction(2), 100)
+            BigBound(Fraction(2), chain=(1, 1, 2, 1, True))
         with pytest.raises(ValueError):
             BigBound(Fraction(2), digits="100")
+
+
+def _count_int_chains(monkeypatch) -> list:
+    """Record the arguments of every ``_chain_exact`` call that evaluates an ``int``."""
+    calls = []
+    real = bounds._chain_exact
+
+    def counting(*args):
+        value = real(*args)
+        if isinstance(value, int):
+            calls.append(args)
+        return value
+
+    monkeypatch.setattr(bounds, "_chain_exact", counting)
+    return calls
+
+
+class TestLazyExact:
+    """``n_bound`` evaluates only the ``decimal`` chain; ``exact`` runs the
+    ``int`` chain on its first read."""
+
+    def test_printing_evaluates_no_int(self, monkeypatch):
+        calls = _count_int_chains(monkeypatch)
+        value = n_bound(TORUS_1_1, BoundParams(2000, 2, 100))
+        assert value.mode == "exact" and len(str(value)) > 5000
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--surface", "1,1", "--l", "2000", "--k", "2"],
+            ["bounds", "--surface", "0,4", "--l", "1", "--k", "2", "--slice"],
+            ["bounds", "--surface", "1,1", "--l", "1", "--k", "2", "--weak", "200"],
+            ["--M", "1", "slice", "1/0", "1/2", "0/1", "--delta", "1"],
+        ],
+        ids=["bounds", "slice-bounds", "weak-bounds", "slice"],
+    )
+    def test_cli_reports_evaluate_no_int(self, monkeypatch, capsys, argv):
+        from fareyulfp.cli import run
+
+        calls = _count_int_chains(monkeypatch)
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]
+        assert calls == []
+
+    def test_exact_is_evaluated_once_and_kept(self, monkeypatch):
+        calls = _count_int_chains(monkeypatch)
+        l, k, M = 300, 7, 5
+        value = n_bound(TORUS_1_1, BoundParams(l, k, M))
+        first = value.exact
+        assert value.exact is first and len(calls) == 1
+        assert first == ((l + 2 * M + 2) * k) ** (l + 1)
+        assert str(value) == decimal_string(first)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))])
+    def test_survives_copies_and_equals_its_twin(self, clone):
+        p = BoundParams(40, 3, 2)
+        value, twin = n_bound(SPHERE_0_4, p), n_bound(SPHERE_0_4, p)
+        early = clone(value)
+        assert early == value == twin and hash(early) == hash(twin)
+        exact = value.exact
+        late = clone(value)
+        assert late == value == twin == early and hash(value) == hash(twin)
+        assert early.exact == late.exact == twin.exact == exact
+        assert str(early) == str(late) == str(value)
+        envelope = n_bound(SPHERE_0_4, p, mode="log10")
+        assert clone(envelope) == envelope and clone(envelope).exact is None
 
 
 # surfaces of complexity 1 to 6 with (l, k, M) ranges whose bounds have at

@@ -6,11 +6,14 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from corpus import far_pair_corpus
 from fareyulfp import farey, slices
 from fareyulfp.cli import run
-from fareyulfp.errors import HypothesisViolation, PreconditionViolation
+from fareyulfp.bounds import BigBound, log10_upper
+from fareyulfp.errors import HypothesisViolation, InternalCheckFailure, PreconditionViolation
 from fareyulfp.farey import Geodesic, INFINITY, Slope, SurfaceKind, distance, geodesic_vertices, geodesics
 from fareyulfp.projections import bgit_audit, candidate_subsurfaces, lemma_co_construct
 from fareyulfp.slices import (
@@ -206,6 +209,19 @@ class TestVerifySliceBounds:
         assert result.bound.exact is not None
         assert len(result.members) <= result.bound.exact
 
+    @pytest.mark.parametrize("digits, raises", [("3", True), ("4", False), ("10", False)])
+    def test_a_slice_above_its_bound_fails_the_check(self, monkeypatch, digits, raises):
+        # the tight slice of (1/0, 1/2) at 0/1 has 4 members; the stub bound's
+        # chain is never evaluated, since the check reads only its digits
+        stub = BigBound(log10_upper(int(digits)), digits, chain=())
+        monkeypatch.setattr(slices, "slice_bound", lambda *args, **kw: stub)
+        query = SliceQuery(INFINITY, Slope(1, 2), Slope(0, 1), 1)
+        if raises:
+            with pytest.raises(InternalCheckFailure, match="slice exceeds its computable bound"):
+                verify_slice_bounds(TORUS, query, M=1)
+        else:
+            assert verify_slice_bounds(TORUS, query, M=1).bound is stub
+
     def test_weak_radius_form_samples_weak_tight_slices(self, monkeypatch):
         # `ulfp --M 1 --delta 0 slice --r 1 --weak-D 1 --budget 8 --delta 1`
         a, b, c = Slope(-4, 7), Slope(-3457, 4792), Slope(-57, 79)
@@ -227,6 +243,21 @@ class TestVerifySliceBounds:
         union = set().union(*(weak_tight_slice(TORUS, x, y, c, 1, 1) for x, y in pairs))
         assert weak.members == union == set()
         assert len(tight.members) == 4 and weak.weak_D == 1
+
+
+_EQUAL_LENGTHS = st.integers(1, 60).flatmap(
+    lambda n: st.tuples(*[st.integers(10 ** (n - 1) if n > 1 else 0, 10**n - 1)] * 2)
+)
+
+
+@given(st.one_of(st.tuples(st.integers(0, 10**60), st.integers(0, 10**60)), _EQUAL_LENGTHS))
+@example((0, 0))
+@example((9, 10))
+@example((10, 9))
+@example((123, 124))
+def test_digit_comparison_is_integer_order(pair):
+    a, b = pair
+    assert slices._exceeds(str(a), str(b)) == (a > b)
 
 
 def test_vertex_sets_are_read_without_enumerating_paths(monkeypatch, capsys, tmp_path):
