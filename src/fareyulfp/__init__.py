@@ -10,8 +10,7 @@ from .bounds import (
     complexity,
     growth_upper,
     n_bound,
-    slice_bound_tight,
-    slice_bound_weak,
+    slice_bound,
 )
 from .errors import (
     DisconnectedQuery,

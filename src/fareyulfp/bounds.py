@@ -274,22 +274,13 @@ def slice_bound(
     s: Surface, M: int, D: Optional[int] = None, radius: bool = False, **kw
 ) -> BigBound:
     """The slice bound N_S(2D, 3) (pointwise) or N_S(2(D+M), 3) (radius
-    form) of weak-tight slices, and with D None that of tight slices, D = M."""
+    form) of D-weakly tight slices, D >= M; with D None that of tight
+    slices, which are the weakly tight ones at D = M."""
     reach = M if D is None else D
+    if reach < M:
+        raise PreconditionViolation("weak-tight bound requires D >= M")
     l = 2 * (reach + M) if radius else 2 * reach
     return n_bound(s, BoundParams(l, 3, M), **kw)
-
-
-def slice_bound_tight(s: Surface, M: int, **kw) -> tuple[BigBound, BigBound]:
-    """Slice bounds N_S(2M, 3) (pointwise) and N_S(4M, 3) (radius form)."""
-    return slice_bound(s, M, **kw), slice_bound(s, M, radius=True, **kw)
-
-
-def slice_bound_weak(s: Surface, D: int, M: int, **kw) -> tuple[BigBound, BigBound]:
-    """Weak-tight slice bounds N_S(2D, 3) and N_S(2(D+M), 3); needs D >= M."""
-    if D < M:
-        raise PreconditionViolation("weak-tight bound requires D >= M")
-    return slice_bound(s, M, D, **kw), slice_bound(s, M, D, radius=True, **kw)
 
 
 def growth_upper(s: Surface, p: BoundParams) -> BigBound:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 from . import __version__ as VERSION
 from . import bounds as bounds_mod
-from . import graphcore, projections, slices
+from . import errors, graphcore, projections, slices
 from .errors import InternalCheckFailure, MalformedLine, PreconditionViolation, parse_lines
 from .farey import (
     Geodesic,
@@ -255,21 +255,22 @@ def _dispatch(args: argparse.Namespace, config: Config) -> dict:
             record["attaining"] = {"vertex": str(vertex), "core": str(core)}
         return record
     if cmd == "bounds":
-        surface, cap = args.surface, config.exact_digit_cap
-        params = bounds_mod.BoundParams(args.l, args.k, config.M)  # checked in every mode
-        if args.slice_mode:
-            pair = bounds_mod.slice_bound_tight(surface, config.M, digit_cap=cap)
-        elif args.weak is not None:
-            pair = bounds_mod.slice_bound_weak(surface, args.weak, config.M, digit_cap=cap)
-        else:
-            value = bounds_mod.n_bound(surface, params, digit_cap=cap)
-            return {
-                "surface": str(surface),
-                "params": {"l": args.l, "k": args.k, "M": config.M},
-                "mode": value.mode,
-                "value": str(value),
-            }
-        return {"surface": str(surface), "bounds": [str(b) for b in pair]}
+        surface, M, cap = args.surface, config.M, config.exact_digit_cap
+        errors.require_l_and_k(args.l, args.k)  # required, and checked, in every mode
+        if args.slice_mode or args.weak is not None:  # --slice is --weak M
+            pair = [
+                bounds_mod.slice_bound(surface, M, args.weak, radius=r, digit_cap=cap)
+                for r in (False, True)
+            ]
+            return {"surface": str(surface), "bounds": [str(b) for b in pair]}
+        params = bounds_mod.BoundParams(args.l, args.k, M)
+        value = bounds_mod.n_bound(surface, params, digit_cap=cap)
+        return {
+            "surface": str(surface),
+            "params": {"l": args.l, "k": args.k, "M": M},
+            "mode": value.mode,
+            "value": str(value),
+        }
     if cmd == "graph-ulfp":
         graph = _read_input(args.graph, graphcore.FiniteGraph.parse)
         vertex_set = _read_input(args.set_file, lambda fh: parse_lines(fh, int))

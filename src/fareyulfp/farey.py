@@ -205,17 +205,14 @@ def _normalized_walk(t: Slope) -> list[tuple[Slope, Slope]]:
         # adjacent endpoints: both triangles sharing the edge 1/0 -- t
         lo, me, hi = Slope(m - 1, 1), Slope(m, 1), Slope(m + 1, 1)
         return [(INFINITY, lo), (INFINITY, me), (INFINITY, hi), (lo, me), (me, hi)]
-    lo = (m, 1)
-    hi = (m + 1, 1)
-    lo_s, hi_s = Slope(*lo), Slope(*hi)
-    edges = [(INFINITY, lo_s), (INFINITY, hi_s), (lo_s, hi_s)]
+    lo, hi = Slope(m, 1), Slope(m + 1, 1)
+    edges = [(INFINITY, lo), (INFINITY, hi), (lo, hi)]
     while True:
-        med = (lo[0] + hi[0], lo[1] + hi[1])
-        med_s = Slope(*med)
-        edges += [(Slope(*lo), med_s), (med_s, Slope(*hi))]
-        if med == (p, q):
+        med = Slope(lo.p + hi.p, lo.q + hi.q)
+        edges += [(lo, med), (med, hi)]
+        if med.p == p and med.q == q:
             return edges
-        if med[0] * q < p * med[1]:
+        if med.p * q < p * med.q:
             lo = med
         else:
             hi = med

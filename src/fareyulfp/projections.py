@@ -112,20 +112,6 @@ def _largest_far_count(floors: Iterable[int], l: int) -> int:
     return count
 
 
-def _find_clique(
-    members: Sequence[Slope], far: FarRelation, bound: Callable[[Sequence[Slope]], int], k: int
-) -> Optional[frozenset[Slope]]:
-    """The first k members in combinations order that are pairwise far, or None.
-
-    ``bound`` caps the size of any far set among a list of members, and
-    every branch it puts below k is cut: ``len`` is the plain search, and
-    with an exact bound no branch is entered that fails.
-    """
-    if bound(members) < k:
-        return None
-    return _extend_clique([], list(members), far, bound, k)
-
-
 def _extend_clique(
     clique: list[Slope],
     candidates: list[Slope],
@@ -133,14 +119,21 @@ def _extend_clique(
     bound: Callable[[Sequence[Slope]], int],
     k: int,
 ) -> Optional[frozenset[Slope]]:
-    """Grow ``clique`` by far candidates in their order, depth first, to size k."""
+    """Grow ``clique`` by far candidates in their order, depth first, to size
+    k.  From ``[]`` and all the members, as ``_decide`` calls it, this is the
+    first k members in combinations order that are pairwise far, or None.
+
+    ``bound`` caps the size of any far set among a list of members, and
+    every branch it puts below k is cut: ``len`` is the plain search, and
+    with an exact bound no branch is entered that fails.
+    """
     if len(clique) == k:
         return frozenset(clique)
+    if len(clique) + bound(candidates) < k:
+        return None
     for i, v in enumerate(candidates):
-        narrowed = [w for w in candidates[i + 1 :] if far(v, w)]
-        if len(clique) + 1 + bound(narrowed) < k:
-            continue
         clique.append(v)
+        narrowed = [w for w in candidates[i + 1 :] if far(v, w)]
         found = _extend_clique(clique, narrowed, far, bound, k)
         if found is not None:
             return found
@@ -190,7 +183,7 @@ def _decide(
         projecting = list(floors)
         far = lambda y, z: abs(floors[y] - floors[z]) + 2 > l
         bound = lambda S: _largest_far_count(map(floors.__getitem__, S), l)
-    return projecting, far, _find_clique(projecting, far, bound, k)
+    return projecting, far, _extend_clique([], projecting, far, bound, k)
 
 
 @dataclass(frozen=True)

@@ -176,15 +176,14 @@ def verify_slice_bounds(
 
     Raises HypothesisViolation naming the failed hypothesis: c must lie
     on some geodesic between a and b, and the radius form additionally
-    needs the distance gap and c clear of both enlarged balls.
+    needs the distance gap and c clear of both enlarged balls.  Between
+    the two, ``slice_bound`` raises PreconditionViolation when D < M.
     """
     a, b, c = query.a, query.b, query.c
     if c not in geodesic_vertices(a, b):
         raise HypothesisViolation("c must lie on a geodesic between a and b")
-    surface = surface_for_kind(kind)
-    if D is not None and D < M:
-        raise PreconditionViolation("weak-tight verification requires D >= M")
     exact = query.r == 0
+    bound = slice_bound(surface_for_kind(kind), M, D, radius=not exact, digit_cap=digit_cap)
     if exact:
         members = _slice(kind, a, b, c, query.delta, D)
     else:
@@ -196,7 +195,6 @@ def verify_slice_bounds(
         if distance(c, a) <= query.r + j or distance(c, b) <= query.r + j:
             raise HypothesisViolation("c must avoid the (r + j)-balls of a and b")
         members = radius_slice_sample(kind, a, b, query.r, c, query.delta, budget, seed, D)
-    bound = slice_bound(surface, M, D, radius=not exact, digit_cap=digit_cap)
     size_log10 = log10_upper(max(len(members), 1))
     margin = float(bound.log10_upper - size_log10)
     if bound.digits is not None and _exceeds(str(len(members)), bound.digits):

@@ -28,7 +28,7 @@ from fareyulfp.bounds import (
     growth_upper,
     log10_upper,
     n_bound,
-    slice_bound_tight,
+    slice_bound,
 )
 from fareyulfp.farey import (
     INFINITY,
@@ -217,7 +217,7 @@ def _corpus_with_centers():
 
 
 def test_criterion_8_slice_bound_harness(announce):
-    point_bound = slice_bound_tight(Surface(1, 1), M_EMP)[0].exact
+    point_bound = slice_bound(Surface(1, 1), M_EMP).exact
     failures = 0
     for a, b, c in _corpus_with_centers():
         result = verify_slice_bounds(TORUS, SliceQuery(a, b, c, 2), M=M_EMP)

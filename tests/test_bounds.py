@@ -28,8 +28,7 @@ from fareyulfp.bounds import (
     growth_upper,
     log10_upper,
     n_bound,
-    slice_bound_tight,
-    slice_bound_weak,
+    slice_bound,
 )
 from fareyulfp.errors import PreconditionViolation
 from fareyulfp.farey import SurfaceKind
@@ -152,14 +151,14 @@ class TestNBound:
 
 class TestSliceBounds:
     def test_tight_values(self):
-        point, radius = slice_bound_tight(TORUS_1_1, 1)
+        point, radius = slice_bound(TORUS_1_1, 1), slice_bound(TORUS_1_1, 1, radius=True)
         assert point.exact == ((2 + 2 + 2) * 3) ** 3  # N(2M, 3)
         assert radius.exact == ((4 + 2 + 2) * 3) ** 5  # N(4M, 3)
 
     def test_weak_values_and_precondition(self):
         with pytest.raises(PreconditionViolation):
-            slice_bound_weak(TORUS_1_1, 1, 2)
-        point, radius = slice_bound_weak(TORUS_1_1, 2, 1)
+            slice_bound(TORUS_1_1, 2, 1)
+        point, radius = slice_bound(TORUS_1_1, 1, 2), slice_bound(TORUS_1_1, 1, 2, radius=True)
         assert point.exact == ((4 + 2 + 2) * 3) ** 5  # N(2D, 3)
         assert radius.exact == ((6 + 2 + 2) * 3) ** 7  # N(2(D+M), 3)
 
@@ -169,7 +168,26 @@ class TestSliceBounds:
 
         query = SliceQuery(INFINITY, Slope(1, 2), Slope(0, 1), 1)
         result = verify_slice_bounds(SurfaceKind.TORUS_1_1, query, M=1)
-        assert result.bound.exact == slice_bound_tight(TORUS_1_1, 1)[0].exact
+        assert result.bound.exact == slice_bound(TORUS_1_1, 1).exact
+
+    @pytest.mark.parametrize("radius", [False, True], ids=["pointwise", "radius"])
+    @pytest.mark.parametrize("s, M", [(TORUS_1_1, 1), (SPHERE_0_4, 3), (Surface(1, 2), 2)])
+    def test_tight_is_weak_at_D_equal_to_M(self, s, M, radius):
+        tight, weak = slice_bound(s, M, radius=radius), slice_bound(s, M, M, radius=radius)
+        assert tight == weak and str(tight) == str(weak)
+
+    @pytest.mark.parametrize("D", [None, 2, 5])
+    @pytest.mark.parametrize("s", [TORUS_1_1, SPHERE_0_4])
+    def test_forms_are_n_bound_at_2D_and_2_D_plus_M(self, s, D):
+        M = 2
+        reach = M if D is None else D
+        assert slice_bound(s, M, D) == n_bound(s, BoundParams(2 * reach, 3, M))
+        assert slice_bound(s, M, D, radius=True) == n_bound(s, BoundParams(2 * (reach + M), 3, M))
+
+    @pytest.mark.parametrize("radius", [False, True], ids=["pointwise", "radius"])
+    def test_D_below_M_raises_the_one_message(self, radius):
+        with pytest.raises(PreconditionViolation, match=r"^weak-tight bound requires D >= M$"):
+            slice_bound(TORUS_1_1, 3, 2, radius=radius)
 
 
 class TestBigBound:

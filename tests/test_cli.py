@@ -122,6 +122,27 @@ class TestCommands:
         )["outputs"]
         assert len(slice_out["bounds"]) == 2
 
+    @pytest.mark.parametrize("surface", ["1,1", "0,5"])
+    def test_bounds_slice_is_bounds_weak_M(self, capsys, surface):
+        argv = ["--M", "7", "bounds", "--surface", surface, "--l", "1", "--k", "2"]
+        tight = invoke(capsys, [*argv, "--slice"])["outputs"]
+        weak = invoke(capsys, [*argv, "--weak", "7"])["outputs"]
+        assert json.dumps(tight, indent=2) == json.dumps(weak, indent=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--surface", "1,1", "--l", "1", "--k", "2", "--weak", "6"],
+            ["slice", "--weak-D", "6", "--delta", "1", "--", "1/0", "1/2", "0/1"],
+        ],
+        ids=["bounds", "slice"],
+    )
+    def test_D_below_M_exits_three_with_the_one_message(self, capsys, argv):
+        code = run(["--M", "7", *argv])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.strip() == "error: weak-tight bound requires D >= M"
+
     def test_bounds_beyond_float_range(self, capsys):
         # xi = 88: log10 of the bound is far above the largest float
         out = invoke(capsys, ["bounds", "--surface", "30,1", "--l", "1", "--k", "2"])["outputs"]

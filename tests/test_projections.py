@@ -334,17 +334,18 @@ class TestAnnulusClusters:
         # relation about a million times
         A = annulus_clusters(8)
         evaluations = 0
-        search = projections._find_clique
+        search = projections._extend_clique
 
-        def counting(members, far, bound, k):
+        def counting(clique, candidates, far, bound, k):
             def counted(y, z):
                 nonlocal evaluations
                 evaluations += 1
                 return far(y, z)
 
-            return search(members, counted, bound, k)
+            # the recursion passes the counted relation on; count it once
+            return search(clique, candidates, far if clique else counted, bound, k)
 
-        monkeypatch.setattr(projections, "_find_clique", counting)
+        monkeypatch.setattr(projections, "_extend_clique", counting)
         witness = check_P(TORUS, A, 4, 8, self.CORE)
         assert {str(s) for s in witness} == self.WITNESS_58
         assert 0 < evaluations <= 8 * len(A)
@@ -355,6 +356,20 @@ class TestAnnulusClusters:
         assert candidate_subsurfaces(TORUS, A)[1] == self.CORE
         curves, Z = ulfp_witness(TORUS, A, 4, 8).witness
         assert Z == self.CORE and {str(s) for s in curves} == self.WITNESS_58
+
+
+class TestBelowTheHullLemma:
+    # {-1/1, 0/1} are 3 apart in the annulus around 1/0, the third vertex of
+    # their Farey triangle, which lies off their hull
+    A = {Slope(-1, 1), Slope(0, 1)}
+
+    def test_the_annulus_off_the_hull_breaks_P(self):
+        assert SubsurfaceRef(INFINITY) not in candidate_subsurfaces(TORUS, self.A)
+        assert check_P(TORUS, self.A, 2, 2, SubsurfaceRef(INFINITY)) == frozenset(self.A)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+    def test_ulfp_witness_finds_the_annulus_off_the_hull(self):
+        assert ulfp_witness(TORUS, self.A, 2, 2).witness is not None
 
 
 def test_clique_search_leaves_no_cyclic_garbage():

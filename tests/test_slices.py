@@ -166,6 +166,28 @@ class TestVerifySliceBounds:
         with pytest.raises(PreconditionViolation):
             verify_slice_bounds(TORUS, query, M=3, D=2)
 
+    def test_the_hypothesis_is_reported_before_D_below_M(self):
+        query = SliceQuery(INFINITY, Slope(1, 2), Slope(7, 2), 1)
+        with pytest.raises(HypothesisViolation, match="c must lie on a geodesic"):
+            verify_slice_bounds(TORUS, query, M=3, D=2)
+
+    @pytest.mark.parametrize(
+        "r, later, message",
+        [
+            (0, PreconditionViolation, "weak-tight slices need endpoint distance > 2"),
+            (1, HypothesisViolation, "radius slice requires"),
+        ],
+        ids=["weak-slice", "radius"],
+    )
+    def test_D_below_M_is_reported_before_the_later_checks(self, r, later, message):
+        # d(1/0, 0/1) = 1 fails the weak slice's precondition and the radius
+        # form's distance hypothesis, but D < M is named first
+        query = SliceQuery(INFINITY, Slope(0, 1), Slope(0, 1), 1, r)
+        with pytest.raises(PreconditionViolation, match=r"^weak-tight bound requires D >= M$"):
+            verify_slice_bounds(TORUS, query, M=3, D=2)
+        with pytest.raises(later, match=message):
+            verify_slice_bounds(TORUS, query, M=3, D=3)
+
     def test_weak_form(self):
         a, b = far_pair_corpus(10, 1)[0]
         c = sorted(geodesic_vertices(a, b))[0]
